@@ -39,7 +39,7 @@ USAGE:
     dca serve   [--listen ADDR] [--http-addr ADDR] [--jobs K]
                 [--store-dir DIR | --no-store] [--lock-wait-secs N]
                 [--stale-secs N]
-    dca client  [--addr ADDR] [--http] (--figure ID [-- OPTS...] |
+    dca client  [--addr ADDR] (--figure ID [-- OPTS...] |
                 --ping | --stats | --shutdown) [--out FILE] [--json]
                 [--json-out FILE]
 
@@ -79,20 +79,19 @@ dead-owner locks (--repair also deletes damaged shards).
 lock before degrading to in-memory compute; --stale-secs N is the
 shared staleness threshold for lock takeover and temp sweeps.
 
-`dca serve` runs the harness as a daemon on a Unix socket (default
-.dca-serve.sock) or host:port. Clients (`dca client`) request figures
-over a framed, checksummed protocol; identical in-flight requests are
-deduplicated onto one computation, scheduling is round-robin across
+`dca serve` runs the harness as a daemon speaking HTTP/1.1 (POST
+/v1/figures, job polling, chunked progress streams, Prometheus
+/v1/metrics) on --listen ADDR, a Unix socket path (default
+.dca-serve.sock) or host:port, and additionally on the TCP address
+--http-addr ADDR. Identical in-flight requests are deduplicated onto
+one computation across listeners, scheduling is round-robin across
 clients, progress streams per sampling round, and results already in
-the store are served warm with zero recompute. --http-addr ADDR adds
-an HTTP/1.1 front over the same core (POST /v1/figures, job polling,
-chunked progress streams, Prometheus /v1/metrics); dedup and fairness
-span both transports. --jobs K runs up to K jobs concurrently on one
-shared worker budget, keeping per-job accounting exact. `dca client
---figure ID -- --scale paper ...` forwards everything after `--` as
-harness options; --http speaks to the HTTP front instead of the
-framed protocol, --json prints the serving summary as JSON on stdout;
---ping, --stats and --shutdown probe and manage the daemon.
+the store are served warm with zero recompute. --jobs K runs up to K
+jobs concurrently on one shared worker budget, keeping per-job
+accounting exact. `dca client --addr ADDR` talks to either kind of
+address; `--figure ID -- --scale paper ...` forwards everything after
+`--` as harness options, --json prints the serving summary as JSON on
+stdout; --ping, --stats and --shutdown probe and manage the daemon.
 
 Machines: base | clustered | one-bus | ub | homo<N> | hetero4
 `--clusters N` simulates N copies of the paper's cluster (shorthand for

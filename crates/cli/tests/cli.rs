@@ -395,3 +395,42 @@ fn store_lifecycle_stat_verify_gc() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `dca serve` and `dca client` with no address agree on the default
+/// `.dca-serve.sock` in the working directory: the daemon binds it,
+/// answers a ping, shuts down on request and unlinks it.
+#[test]
+fn serve_and_client_work_on_the_default_socket() {
+    let dir = std::env::temp_dir().join(format!("dca-cli-serve-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let client = |flag: &str| {
+        Command::new(env!("CARGO_BIN_EXE_dca"))
+            .args(["client", flag])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_dca"))
+        .args(["serve", "--no-store", "-q"])
+        .current_dir(&dir)
+        .spawn()
+        .expect("daemon starts");
+    let sock = dir.join(".dca-serve.sock");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !sock.exists() {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            panic!("daemon exited early: {status}");
+        }
+        assert!(std::time::Instant::now() < deadline, "daemon never bound {sock:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let o = client("--ping");
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).contains("\"server_proto\":2"), "{}", stdout(&o));
+    let o = client("--shutdown");
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(daemon.wait().unwrap().success(), "clean exit");
+    assert!(!sock.exists(), "socket unlinked");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,17 +1,16 @@
 //! The request side: `dca client`.
 //!
-//! One request, a stream of progress events, one result — over either
-//! transport: the framed protocol (default) or, with `--http`, the
-//! HTTP/1.1 front (submit → follow the chunked progress stream →
-//! fetch the result). Both paths deliver the *same bytes*: the
-//! report is [`Figure::document`]-rendered markdown, identical to
-//! what offline `dca figures` saves.
+//! One request, a stream of progress events, one result, over HTTP/1.1
+//! to either a unix socket path or `host:port`: submit → follow the
+//! chunked progress stream → fetch the result. The report is
+//! [`Figure::document`]-rendered markdown, byte-identical to what
+//! offline `dca figures` saves.
 //!
 //! The report goes to stdout (or `--out FILE`). The serving summary —
 //! job id, canonical key, dedup/warm flags, per-job work deltas,
 //! wall-clock — is structured JSON: `--json` prints it to stdout
 //! (instead of the report), `--json-out FILE` writes it to a file.
-//! `scripts/bench_serve.sh` and `bench_serve_http.sh` assert on it.
+//! `scripts/bench_serve_http.sh` asserts on it.
 //!
 //! [`Figure::document`]: dca_bench::figures::Figure::document
 
@@ -20,10 +19,9 @@ use std::path::PathBuf;
 use dca_obs::json::{self, Json};
 use dca_obs::progress;
 
-use crate::http::{write_request, HttpReader};
+use crate::http::{write_request, HttpReader, HttpResponse};
 use crate::net::{self, Conn};
-use crate::proto::{self, FigureRequest};
-use crate::wire::{self, FrameKind};
+use crate::proto::FigureRequest;
 
 /// What one `dca client` invocation asks of the server.
 #[derive(Clone, Debug)]
@@ -35,7 +33,7 @@ pub enum Mode {
         /// `RunOpts::from_args`-grammar options forwarded verbatim.
         args: Vec<String>,
     },
-    /// Liveness probe (and protocol version negotiation).
+    /// Liveness probe (reports the protocol version).
     Ping,
     /// Fetch server counters.
     Stats,
@@ -48,9 +46,6 @@ pub enum Mode {
 pub struct ClientOpts {
     /// Server address (Unix socket path or `host:port`).
     pub addr: String,
-    /// Speak HTTP to the server's `--http-addr` front instead of the
-    /// framed protocol.
-    pub http: bool,
     /// The request.
     pub mode: Mode,
     /// Write the report here instead of stdout.
@@ -64,130 +59,76 @@ pub struct ClientOpts {
     pub quiet: bool,
 }
 
+/// One connection to the daemon: the write half plus a buffered
+/// reader on a clone of the same socket.
+struct Link {
+    conn: Box<dyn Conn>,
+    reader: HttpReader<Box<dyn Conn>>,
+}
+
+impl Link {
+    fn open(addr: &str) -> Result<Link, String> {
+        let conn = net::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        let rd = conn
+            .try_clone_conn()
+            .map_err(|e| format!("connect {addr}: {e}"))?;
+        Ok(Link {
+            conn,
+            reader: HttpReader::new(rd),
+        })
+    }
+
+    /// Writes one request.
+    fn send(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: Option<(&str, &[u8])>,
+    ) -> Result<(), String> {
+        write_request(&mut self.conn, method, target, body)
+            .map(drop)
+            .map_err(|e| format!("send: {e}"))
+    }
+
+    /// One exchange on the kept-alive connection.
+    fn round(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: Option<(&str, &[u8])>,
+    ) -> Result<HttpResponse, String> {
+        self.send(method, target, body)?;
+        self.reader.read_response().map_err(|e| e.to_string())
+    }
+}
+
 /// Runs one request against a serve daemon.
 pub fn run_client(opts: &ClientOpts) -> Result<(), String> {
-    if opts.http {
-        run_http(opts)
-    } else {
-        run_frame(opts)
-    }
-}
-
-fn run_frame(opts: &ClientOpts) -> Result<(), String> {
-    let mut conn =
-        net::connect(&opts.addr).map_err(|e| format!("connect {}: {e}", opts.addr))?;
-    let (kind, payload): (FrameKind, Vec<u8>) = match &opts.mode {
-        Mode::Figure { figure, args } => (
-            FrameKind::ReqFigure,
-            FigureRequest::render_payload(figure, args),
-        ),
-        Mode::Ping => (
-            FrameKind::ReqPing,
-            format!("{{\"proto\": {}}}", proto::PROTO_VERSION).into_bytes(),
-        ),
-        Mode::Stats => (FrameKind::ReqStats, Vec::new()),
-        Mode::Shutdown => (FrameKind::ReqShutdown, Vec::new()),
-    };
-    wire::write_frame(&mut conn, kind, &payload).map_err(|e| format!("send: {e}"))?;
-    loop {
-        let (kind, payload) = wire::read_frame(&mut conn).map_err(|e| e.to_string())?;
-        let text = || String::from_utf8_lossy(&payload).into_owned();
-        match FrameKind::from_byte(kind) {
-            Some(FrameKind::EvPong) => {
-                println!("{}", text());
-                return Ok(());
-            }
-            Some(FrameKind::EvStats) => {
-                let doc = json::parse(&text())?;
-                println!("{}", doc.render_pretty());
-                return Ok(());
-            }
-            Some(FrameKind::EvError) => {
-                let doc = json::parse(&text()).unwrap_or(Json::Null);
-                let msg = doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(text);
-                return Err(format!("server: {msg}"));
-            }
-            Some(FrameKind::EvProgress) => {
-                print_progress(opts, &json::parse(&text()).unwrap_or(Json::Null));
-            }
-            Some(FrameKind::EvResult) => {
-                let doc = json::parse(&text())?;
-                let title = doc.get("title").and_then(Json::as_str).unwrap_or_default();
-                let body = doc.get("body").and_then(Json::as_str).unwrap_or_default();
-                let document = format!("# {title}\n\n{body}");
-                let summary: Vec<(String, Json)> = doc
-                    .as_object()
-                    .unwrap_or_default()
-                    .iter()
-                    .filter(|(k, _)| k != "body")
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                return deliver_result(opts, &Json::Obj(summary), &document);
-            }
-            _ => return Err(format!("unexpected frame kind 0x{kind:02x} from server")),
-        }
-    }
-}
-
-/// One HTTP exchange on a fresh or kept-alive connection.
-fn http_round(
-    conn: &mut Box<dyn Conn>,
-    reader: &mut HttpReader<Box<dyn Conn>>,
-    method: &str,
-    target: &str,
-    body: Option<(&str, &[u8])>,
-) -> Result<crate::http::HttpResponse, String> {
-    write_request(&mut *conn, method, target, body).map_err(|e| format!("send: {e}"))?;
-    reader.read_response().map_err(|e| e.to_string())
-}
-
-fn http_connect(addr: &str) -> Result<(Box<dyn Conn>, HttpReader<Box<dyn Conn>>), String> {
-    let conn = net::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let rd = conn
-        .try_clone_conn()
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    Ok((conn, HttpReader::new(rd)))
-}
-
-fn run_http(opts: &ClientOpts) -> Result<(), String> {
-    let (mut conn, mut reader) = http_connect(&opts.addr)?;
+    let mut link = Link::open(&opts.addr)?;
     match &opts.mode {
         Mode::Ping => {
-            let resp = http_round(&mut conn, &mut reader, "GET", "/v1/ping", None)?;
+            let resp = link.round("GET", "/v1/ping", None)?;
             println!("{}", String::from_utf8_lossy(&resp.body));
             Ok(())
         }
         Mode::Stats => {
-            let resp = http_round(&mut conn, &mut reader, "GET", "/v1/stats", None)?;
+            let resp = link.round("GET", "/v1/stats", None)?;
             let doc = json::parse(&String::from_utf8_lossy(&resp.body))?;
             println!("{}", doc.render_pretty());
             Ok(())
         }
         Mode::Shutdown => {
-            let resp = http_round(&mut conn, &mut reader, "POST", "/v1/shutdown", None)?;
+            let resp = link.round("POST", "/v1/shutdown", None)?;
             println!("{}", String::from_utf8_lossy(&resp.body));
             Ok(())
         }
         Mode::Figure { figure, args } => {
             let payload = FigureRequest::render_payload(figure, args);
-            let resp = http_round(
-                &mut conn,
-                &mut reader,
-                "POST",
-                "/v1/figures",
-                Some(("application/json", &payload)),
-            )?;
+            let resp = link.round("POST", "/v1/figures", Some(("application/json", &payload)))?;
             let body = String::from_utf8_lossy(&resp.body).into_owned();
             if resp.status != 202 {
                 let doc = json::parse(&body).unwrap_or(Json::Null);
-                let msg = doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or(&body);
+                let msg = doc.get("error").and_then(Json::as_str).unwrap_or(&body);
                 return Err(format!("server: {msg}"));
             }
             let doc = json::parse(&body)?;
@@ -216,15 +157,9 @@ fn run_http(opts: &ClientOpts) -> Result<(), String> {
                 }
                 other => other,
             };
-            // The report itself: byte-identical to frame `--out` and
-            // offline `dca figures` output.
-            let resp = http_round(
-                &mut conn,
-                &mut reader,
-                "GET",
-                &format!("/v1/jobs/{job}/result"),
-                None,
-            )?;
+            // The report itself: byte-identical to offline
+            // `dca figures` output.
+            let resp = link.round("GET", &format!("/v1/jobs/{job}/result"), None)?;
             if resp.status != 200 {
                 return Err(format!(
                     "server: result fetch returned {}: {}",
@@ -241,21 +176,15 @@ fn run_http(opts: &ClientOpts) -> Result<(), String> {
 /// Follows `GET /v1/jobs/<id>?stream=1`, printing progress lines and
 /// returning the final summary document.
 fn follow_stream(opts: &ClientOpts, job: u64) -> Result<Json, String> {
-    let (mut conn, mut reader) = http_connect(&opts.addr)?;
-    write_request(
-        &mut conn,
-        "GET",
-        &format!("/v1/jobs/{job}?stream=1"),
-        None,
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let (status, _) = reader.read_response_head().map_err(|e| e.to_string())?;
+    let mut link = Link::open(&opts.addr)?;
+    link.send("GET", &format!("/v1/jobs/{job}?stream=1"), None)?;
+    let (status, _) = link.reader.read_response_head().map_err(|e| e.to_string())?;
     if status != 200 {
         return Err(format!("server: stream open returned {status}"));
     }
     let mut pending = String::new();
     let mut last = Json::Null;
-    while let Some(chunk) = reader.next_chunk().map_err(|e| e.to_string())? {
+    while let Some(chunk) = link.reader.next_chunk().map_err(|e| e.to_string())? {
         pending.push_str(&String::from_utf8_lossy(&chunk));
         while let Some(i) = pending.find('\n') {
             let line: String = pending.drain(..=i).collect();

@@ -14,23 +14,16 @@
 //! renders the *parsed* options — scale name, budget, sampling
 //! parameters — not the raw argument strings.
 //!
-//! These payloads are shared by every front: the framed protocol
-//! wraps them in `DCASERV1` frames, the HTTP front returns them as
-//! response bodies. A client that wants to know which protocol
-//! features the daemon speaks sends a Ping whose payload is
-//! `{"proto": N}`; [`pong_reply`] answers with the negotiated
-//! version (`min(N, PROTO_VERSION)`). Any other ping payload is
-//! echoed verbatim, which is exactly the v1 behaviour — old clients
-//! and new daemons interoperate without a handshake.
+//! The HTTP front returns these payloads as response bodies and
+//! progress-stream lines.
 
 use dca_bench::RunOpts;
 use dca_obs::json::{self, Json};
 
 use crate::service::{JobOutcome, JobStatus, SubmitOutcome};
 
-/// The protocol version this daemon speaks. v1 is PR 8's framed
-/// protocol; v2 adds the HTTP front, job polling, detached submits,
-/// and the per-job `straight_runs`/`key` result fields.
+/// The protocol version this daemon speaks, reported by
+/// `GET /v1/ping` and `GET /v1/stats`.
 pub const PROTO_VERSION: u64 = 2;
 
 /// Exact per-job work attribution, measured by the executing Lab's
@@ -48,12 +41,12 @@ pub struct FigureRequest {
 }
 
 impl FigureRequest {
-    /// Parses a `ReqFigure` payload:
+    /// Parses a `POST /v1/figures` body:
     /// `{"figure": "fig03", "args": ["--scale", "paper", ...]}`.
     ///
     /// Rejects unknown figures, unparsed leftover arguments, and any
     /// attempt to steer the server's own store or observability from
-    /// the wire (`--store-dir`, `--trace-out`, …) — those belong to
+    /// a request (`--store-dir`, `--trace-out`, …) — those belong to
     /// whoever started the daemon.
     pub fn parse(payload: &[u8]) -> Result<FigureRequest, String> {
         let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
@@ -138,7 +131,7 @@ pub fn opts_key(o: &RunOpts) -> String {
     .render()
 }
 
-/// Builds an `EvProgress` payload.
+/// Builds one progress-stream line (a sampling round).
 pub fn progress_payload(
     job: u64,
     figure: &str,
@@ -161,25 +154,14 @@ pub fn progress_payload(
     .into_bytes()
 }
 
-/// Answers a Ping. A payload of `{"proto": N}` is a version
-/// negotiation: the reply carries `min(N, PROTO_VERSION)` (what both
-/// sides can speak) plus the server's own version. Anything else —
-/// including non-UTF-8 and non-JSON payloads — is echoed verbatim,
-/// the v1 liveness-probe behaviour.
-pub fn pong_reply(payload: &[u8]) -> Vec<u8> {
-    if let Ok(text) = std::str::from_utf8(payload) {
-        if let Ok(doc) = json::parse(text) {
-            if let Some(client) = doc.get("proto").and_then(Json::as_u64) {
-                return Json::Obj(vec![
-                    ("proto".to_string(), Json::U64(client.min(PROTO_VERSION))),
-                    ("server_proto".to_string(), Json::U64(PROTO_VERSION)),
-                ])
-                .render()
-                .into_bytes();
-            }
-        }
-    }
-    payload.to_vec()
+/// The `GET /v1/ping` body: `{"proto":2,"server_proto":2}`.
+pub fn ping_payload() -> Vec<u8> {
+    Json::Obj(vec![
+        ("proto".to_string(), Json::U64(PROTO_VERSION)),
+        ("server_proto".to_string(), Json::U64(PROTO_VERSION)),
+    ])
+    .render()
+    .into_bytes()
 }
 
 fn deltas_members(deltas: &JobDeltas) -> Vec<(String, Json)> {
@@ -198,26 +180,21 @@ fn deltas_members(deltas: &JobDeltas) -> Vec<(String, Json)> {
     ]
 }
 
-/// Builds an `EvResult` payload (also the final line of an HTTP
-/// progress stream and the `done` job-status body, both of which set
-/// `include_body: false` — the report itself comes from `/result`).
-/// `dedup` marks a subscriber that attached to a computation another
-/// request originated.
-pub fn result_payload(outcome: &JobOutcome, dedup: bool, include_body: bool) -> Vec<u8> {
+/// Builds the final line of a progress stream: the job's summary
+/// without the report (that comes from `/result`). Its `dedup` is
+/// always `true`: a stream follows a job that was already submitted.
+pub fn result_payload(outcome: &JobOutcome) -> Vec<u8> {
     let mut members = vec![("job".to_string(), Json::U64(outcome.job))];
-    members.extend(outcome_members(outcome, dedup, include_body));
+    members.extend(outcome_members(outcome, true));
     Json::Obj(members).render().into_bytes()
 }
 
-fn outcome_members(outcome: &JobOutcome, dedup: bool, include_body: bool) -> Vec<(String, Json)> {
+fn outcome_members(outcome: &JobOutcome, dedup: bool) -> Vec<(String, Json)> {
     let mut members = vec![("key".to_string(), Json::Str(outcome.key.clone()))];
     match &outcome.result {
         Ok(figure) => {
             members.push(("figure".to_string(), Json::Str(figure.id.to_string())));
             members.push(("title".to_string(), Json::Str(figure.title.clone())));
-            if include_body {
-                members.push(("body".to_string(), Json::Str(figure.body.clone())));
-            }
         }
         Err(reason) => {
             members.push(("figure".to_string(), Json::Str(outcome.figure_name.clone())));
@@ -282,13 +259,13 @@ pub fn status_payload(job: u64, status: &JobStatus) -> Vec<u8> {
                 ("job".to_string(), Json::U64(job)),
                 ("state".to_string(), Json::Str("done".to_string())),
             ];
-            members.extend(outcome_members(outcome, false, false));
+            members.extend(outcome_members(outcome, false));
             Json::Obj(members).render().into_bytes()
         }
     }
 }
 
-/// Builds an `EvError` payload.
+/// Builds an error body (and the error line of a progress stream).
 pub fn error_payload(job: Option<u64>, message: &str) -> Vec<u8> {
     let mut members = Vec::new();
     if let Some(j) = job {
@@ -298,7 +275,7 @@ pub fn error_payload(job: Option<u64>, message: &str) -> Vec<u8> {
     Json::Obj(members).render().into_bytes()
 }
 
-/// Builds an `EvStats` payload from the live registry.
+/// Builds the `GET /v1/stats` body from the live registry.
 pub fn stats_payload() -> Vec<u8> {
     let m = dca_obs::metrics();
     Json::Obj(vec![
@@ -306,18 +283,12 @@ pub fn stats_payload() -> Vec<u8> {
         ("dedup_hits".to_string(), Json::U64(m.serve_dedup_hits_total.get())),
         ("results".to_string(), Json::U64(m.serve_results_total.get())),
         (
-            "rejected_frames".to_string(),
-            Json::U64(m.serve_rejected_frames_total.get()),
-        ),
-        (
             "cancelled_jobs".to_string(),
             Json::U64(m.serve_cancelled_jobs_total.get()),
         ),
         ("clients".to_string(), Json::U64(m.serve_clients.get())),
         ("queue_depth".to_string(), Json::U64(m.serve_queue_depth.get())),
         ("active_jobs".to_string(), Json::U64(m.serve_active_jobs.get())),
-        ("bytes_in".to_string(), Json::U64(m.serve_bytes_in_total.get())),
-        ("bytes_out".to_string(), Json::U64(m.serve_bytes_out_total.get())),
         (
             "http_requests".to_string(),
             Json::U64(m.serve_http_requests_total.get()),
@@ -394,23 +365,11 @@ mod tests {
         }
     }
 
-    /// Ping negotiation: `{"proto": N}` gets `min(N, ours)` back;
-    /// anything else — the v1 liveness probe — echoes verbatim.
+    /// The ping body is pinned byte for byte: clients and the
+    /// benchmark read it as the daemon's version.
     #[test]
-    fn ping_negotiates_versions_and_echoes_everything_else() {
-        let reply = pong_reply(br#"{"proto": 99}"#);
-        let doc = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
-        assert_eq!(doc.get("proto").and_then(Json::as_u64), Some(PROTO_VERSION));
-        assert_eq!(
-            doc.get("server_proto").and_then(Json::as_u64),
-            Some(PROTO_VERSION)
-        );
-        let reply = pong_reply(br#"{"proto": 1}"#);
-        let doc = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
-        assert_eq!(doc.get("proto").and_then(Json::as_u64), Some(1), "old client wins");
-        assert_eq!(pong_reply(b"canary"), b"canary", "v1 probes echo");
-        assert_eq!(pong_reply(b"\xff\xfe"), b"\xff\xfe", "even non-UTF-8");
-        assert_eq!(pong_reply(br#"{"other": 1}"#), br#"{"other": 1}"#);
+    fn ping_reports_the_protocol_version() {
+        assert_eq!(ping_payload(), br#"{"proto":2,"server_proto":2}"#);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Daemon assembly: bind the listeners, spawn the fronts and the
-//! dispatchers, wire them all to one [`Service`] core.
+//! Daemon assembly: bind the listeners, spawn the accept loops and
+//! the dispatchers, wire them all to one [`Service`] core.
 //!
 //! ## Threads
 //!
-//! - **frame accept loop** (the caller of [`serve`]): accepts framed-
-//!   protocol connections, one [`crate::frame::session`] thread each.
-//! - **HTTP accept loop** (spawned when `--http-addr` is set): same
-//!   shape, one [`crate::http::http_session`] thread per connection.
+//! - **one accept loop per listener** — the unix socket or TCP
+//!   address of `--listen`, plus the TCP address of `--http-addr` when
+//!   set. Every listener speaks HTTP/1.1: each accepted connection
+//!   gets one [`crate::http::http_session`] thread.
 //! - **K dispatchers** (`--jobs K`): each runs
 //!   [`crate::service::dispatcher`] against the shared Lab pool. The
 //!   core never hands two dispatchers jobs with the same options key,
@@ -15,32 +15,33 @@
 //!   ([`dca_bench::set_worker_budget`]), so `--jobs 4` does not
 //!   quadruple thread pressure.
 //!
-//! Shutdown (frame `ReqShutdown` or HTTP `POST /v1/shutdown`) flips
-//! the core's flag, wakes both accept loops by self-connection, shuts
-//! every parked session socket down, and joins everything — no
-//! leaked sockets, locks, or temp files (asserted by the smoke
-//! benches).
+//! Shutdown (`POST /v1/shutdown` on any listener) flips the core's
+//! flag, wakes every accept loop by self-connection, shuts every
+//! parked session socket down, and joins everything — no leaked
+//! sockets, locks, or temp files (asserted by
+//! `scripts/bench_serve_http.sh`).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dca_obs::progress;
 use dca_store::Store;
 
+use crate::http;
 use crate::net::Listener;
 use crate::service::{dispatcher, Service};
-use crate::{frame, http};
 
 /// Server configuration (the `dca serve` flags).
 #[derive(Clone, Debug)]
 pub struct ServeOpts {
-    /// Framed-protocol listen address: a Unix socket path (contains
-    /// `/`) or `host:port`.
+    /// Listen address: a Unix socket path or `host:port`
+    /// (see [`crate::net::is_unix`]).
     pub listen: String,
-    /// HTTP/1.1 listen address (`--http-addr`); `None` disables the
-    /// HTTP front.
+    /// Additional TCP listen address (`--http-addr`).
     pub http_addr: Option<String>,
     /// Concurrent jobs (`--jobs`); clamped to at least 1.
     pub jobs: usize,
@@ -65,32 +66,62 @@ impl Default for ServeOpts {
     }
 }
 
-/// The daemon's bound addresses, reported before the first accept.
-#[derive(Clone, Debug)]
-pub struct Bound {
-    /// The framed-protocol address (`:0` TCP ports resolved).
-    pub frame: String,
-    /// The HTTP address, when that front is enabled.
-    pub http: Option<String>,
+/// The daemon's bound addresses in connectable form (`:0` TCP ports
+/// resolved): `--listen` first, then `--http-addr` when set.
+pub type Bound = Vec<String>;
+
+/// What every accept loop shares.
+struct Front {
+    service: Arc<Service>,
+    /// Session threads from every listener, joined after shutdown.
+    sessions: Mutex<Vec<JoinHandle<()>>>,
+    /// Connection counter shared by every listener so client keys
+    /// stay unique daemon-wide.
+    next_client: AtomicU64,
+    /// Self-connect targets that wake the accept loops at shutdown.
+    wake_addrs: Bound,
 }
 
-/// Runs the daemon until a client asks for shutdown (frame
-/// `ReqShutdown` or HTTP `POST /v1/shutdown`). Bound addresses are
-/// reported via `on_bound` before the first accept (tests bind
-/// `127.0.0.1:0` and need the resolved ports).
-pub fn serve_with(opts: ServeOpts, on_bound: impl FnOnce(&Bound)) -> Result<(), String> {
-    let listener =
-        Listener::bind(&opts.listen).map_err(|e| format!("bind {}: {e}", opts.listen))?;
-    let http_listener = match &opts.http_addr {
-        Some(addr) => {
-            Some(Listener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?)
+/// Accepts connections on one listener until shutdown, one HTTP
+/// session thread each. Dropping the listener on return unlinks a
+/// unix socket.
+fn accept_loop(listener: Listener, front: Arc<Front>) {
+    loop {
+        let conn = match listener.accept() {
+            Ok(c) => c,
+            Err(e) => {
+                if front.service.is_shutdown() {
+                    return;
+                }
+                progress::warn(format!("serve: accept on {}: {e}", listener.local_addr()));
+                continue;
+            }
+        };
+        if front.service.is_shutdown() {
+            return; // the shutdown self-connection
         }
-        None => None,
-    };
-    let bound = Bound {
-        frame: listener.local_addr(),
-        http: http_listener.as_ref().map(Listener::local_addr),
-    };
+        let client = front.next_client.fetch_add(1, Ordering::Relaxed) + 1;
+        let f = Arc::clone(&front);
+        front
+            .sessions
+            .lock()
+            .unwrap()
+            .push(std::thread::spawn(move || {
+                http::http_session(&f.service, conn, client, &f.wake_addrs)
+            }));
+    }
+}
+
+/// Runs the daemon until a client asks for shutdown
+/// (`POST /v1/shutdown`). Bound addresses are reported via `on_bound`
+/// before the first accept (tests bind `127.0.0.1:0` and need the
+/// resolved ports).
+pub fn serve_with(opts: ServeOpts, on_bound: impl FnOnce(&Bound)) -> Result<(), String> {
+    let listeners = std::iter::once(&opts.listen)
+        .chain(&opts.http_addr)
+        .map(|addr| Listener::bind(addr).map_err(|e| format!("bind {addr}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let bound: Bound = listeners.iter().map(Listener::local_addr).collect();
     on_bound(&bound);
     let store = opts.store_dir.as_ref().map(|dir| {
         let mut s = Store::open(dir);
@@ -104,23 +135,17 @@ pub fn serve_with(opts: ServeOpts, on_bound: impl FnOnce(&Bound)) -> Result<(), 
     });
     progress::info(format!(
         "serve: listening on {} (store: {}, jobs: {})",
-        bound.frame,
+        bound[0],
         opts.store_dir
             .as_ref()
             .map(|d| d.display().to_string())
             .unwrap_or_else(|| "disabled".to_string()),
         opts.jobs.max(1),
     ));
-    if let Some(http) = &bound.http {
+    if let Some(http) = bound.get(1) {
         progress::info(format!("serve: http on {http}"));
     }
     let service = Arc::new(Service::new());
-    // Self-connect targets that wake the accept loops at shutdown.
-    let wake_addrs: Arc<Vec<String>> = Arc::new(
-        std::iter::once(bound.frame.clone())
-            .chain(bound.http.clone())
-            .collect(),
-    );
     let labs = Arc::new(Mutex::new(HashMap::new()));
     let dispatchers: Vec<_> = (0..opts.jobs.max(1))
         .map(|_| {
@@ -130,66 +155,25 @@ pub fn serve_with(opts: ServeOpts, on_bound: impl FnOnce(&Bound)) -> Result<(), 
             std::thread::spawn(move || dispatcher(service, store, labs))
         })
         .collect();
-    // Session threads from both fronts, joined after shutdown.
-    let sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-        Arc::new(Mutex::new(Vec::new()));
-    // Connection counter shared by both fronts so client keys stay
-    // unique across transports.
-    let next_client = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let http_accept = http_listener.map(|hl| {
-        let service = Arc::clone(&service);
-        let sessions = Arc::clone(&sessions);
-        let wake_addrs = Arc::clone(&wake_addrs);
-        let next_client = Arc::clone(&next_client);
-        std::thread::spawn(move || loop {
-            let conn = match hl.accept() {
-                Ok(c) => c,
-                Err(e) => {
-                    if service.is_shutdown() {
-                        return;
-                    }
-                    progress::warn(format!("serve: http accept: {e}"));
-                    continue;
-                }
-            };
-            if service.is_shutdown() {
-                return; // the shutdown self-connection
-            }
-            let client = next_client.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let service = Arc::clone(&service);
-            let wake_addrs = Arc::clone(&wake_addrs);
-            sessions.lock().unwrap().push(std::thread::spawn(move || {
-                http::http_session(&service, conn, client, &wake_addrs)
-            }));
-        })
+    let front = Arc::new(Front {
+        service: Arc::clone(&service),
+        sessions: Mutex::new(Vec::new()),
+        next_client: AtomicU64::new(0),
+        wake_addrs: bound,
     });
-    loop {
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(e) => {
-                if service.is_shutdown() {
-                    break;
-                }
-                progress::warn(format!("serve: accept: {e}"));
-                continue;
-            }
-        };
-        if service.is_shutdown() {
-            break; // the shutdown self-connection
-        }
-        let client = next_client.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        let service_ = Arc::clone(&service);
-        let wake_addrs = Arc::clone(&wake_addrs);
-        sessions.lock().unwrap().push(std::thread::spawn(move || {
-            frame::session(&service_, conn, client, &wake_addrs)
-        }));
-    }
-    if let Some(h) = http_accept {
-        let _ = h.join();
+    let accepts: Vec<_> = listeners
+        .into_iter()
+        .map(|l| {
+            let front = Arc::clone(&front);
+            std::thread::spawn(move || accept_loop(l, front))
+        })
+        .collect();
+    for a in accepts {
+        let _ = a.join();
     }
     // Unblock every session still parked in a read, then join all.
     service.unblock_all();
-    let handles: Vec<_> = std::mem::take(&mut *sessions.lock().unwrap());
+    let handles: Vec<_> = std::mem::take(&mut *front.sessions.lock().unwrap());
     for s in handles {
         let _ = s.join();
     }

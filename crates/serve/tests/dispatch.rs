@@ -21,10 +21,18 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Starts a daemon on a fresh unix socket plus an ephemeral TCP port;
+/// returns `(socket_addr, tcp_addr, handle)`.
 fn start(jobs: usize) -> (String, String, JoinHandle<Result<(), String>>) {
+    static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let sock = std::env::temp_dir().join(format!(
+        "dca-dispatch-{}-{}.sock",
+        std::process::id(),
+        N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     let (tx, rx) = std::sync::mpsc::channel();
     let opts = ServeOpts {
-        listen: "127.0.0.1:0".to_string(),
+        listen: sock.to_str().unwrap().to_string(),
         http_addr: Some("127.0.0.1:0".to_string()),
         jobs,
         store_dir: None,
@@ -32,15 +40,15 @@ fn start(jobs: usize) -> (String, String, JoinHandle<Result<(), String>>) {
     };
     let handle = std::thread::spawn(move || {
         serve_with(opts, |bound| {
-            let _ = tx.send((bound.frame.clone(), bound.http.clone().unwrap()));
+            let _ = tx.send((bound[0].clone(), bound[1].clone()));
         })
     });
-    let (frame, http) = rx.recv().expect("server bound");
-    (frame, http, handle)
+    let (sock, tcp) = rx.recv().expect("server bound");
+    (sock, tcp, handle)
 }
 
-fn shutdown(frame_addr: &str, handle: JoinHandle<Result<(), String>>) {
-    run_client(&client_opts(frame_addr, Mode::Shutdown, None, None)).expect("shutdown");
+fn shutdown(sock: &str, handle: JoinHandle<Result<(), String>>) {
+    run_client(&client_opts(sock, Mode::Shutdown, None, None)).expect("shutdown");
     handle.join().expect("serve thread").expect("clean exit");
 }
 
@@ -52,7 +60,6 @@ fn client_opts(
 ) -> ClientOpts {
     ClientOpts {
         addr: addr.to_string(),
-        http: false,
         mode,
         out,
         json: false,
@@ -93,13 +100,13 @@ fn sampling_mode(period: &str) -> Mode {
 /// options keys) concurrently against a `--jobs K` daemon, one
 /// subscriber each, returning `(body, summary)` per job.
 fn run_pair(base: &std::path::Path, k: usize) -> Vec<(String, Json)> {
-    let (frame_addr, _http, handle) = start(k);
+    let (sock, _tcp, handle) = start(k);
     let results: Vec<(String, Json)> = std::thread::scope(|s| {
         let handles: Vec<_> = ["10000", "5000"]
             .iter()
             .enumerate()
             .map(|(i, period)| {
-                let addr = frame_addr.clone();
+                let addr = sock.clone();
                 let out = base.join(format!("k{k}-job{i}.md"));
                 let summary = base.join(format!("k{k}-job{i}.json"));
                 s.spawn(move || {
@@ -119,7 +126,7 @@ fn run_pair(base: &std::path::Path, k: usize) -> Vec<(String, Json)> {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    shutdown(&frame_addr, handle);
+    shutdown(&sock, handle);
     results
 }
 
@@ -163,19 +170,19 @@ fn k2_matches_k1_byte_for_byte_with_exact_per_job_deltas() {
 #[test]
 fn four_subscribers_per_job_all_get_the_same_bytes_at_k2() {
     let _serial = serial();
-    let (frame_addr, _http, handle) = start(2);
+    let (sock, tcp, handle) = start(2);
     let base = std::env::temp_dir().join(format!("dca-dispatch-subs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
-    // 2 jobs × 4 subscribers: identical requests coalesce (or rerun
-    // deterministically); either way all four must see one byte
-    // sequence per job.
+    // 2 jobs × 4 subscribers, alternating listeners: identical
+    // requests coalesce (or rerun deterministically); either way all
+    // four must see one byte sequence per job.
     let bodies: Vec<(usize, String)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|n| {
                 let job = n % 2;
                 let insts = if job == 0 { "40000" } else { "30000" };
-                let addr = frame_addr.clone();
+                let addr = if n % 4 < 2 { sock.clone() } else { tcp.clone() };
                 let out = base.join(format!("sub{n}.md"));
                 s.spawn(move || {
                     run_client(&client_opts(&addr, figure_mode(insts), Some(out.clone()), None))
@@ -196,19 +203,20 @@ fn four_subscribers_per_job_all_get_the_same_bytes_at_k2() {
         );
     }
     let _ = std::fs::remove_dir_all(&base);
-    shutdown(&frame_addr, handle);
+    shutdown(&sock, handle);
 }
 
 #[test]
 fn cancelling_one_job_never_disturbs_its_neighbour() {
     let _serial = serial();
-    let (frame_addr, http_addr, handle) = start(2);
+    let (sock, http_addr, handle) = start(2);
     let base = std::env::temp_dir().join(format!("dca-dispatch-cxl-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
 
-    // The victim: a detached HTTP job, cancelled while the survivor
-    // runs next to it on the second dispatcher.
+    // The victim: a job submitted over TCP, cancelled while the
+    // survivor (submitted over the unix socket) runs next to it on
+    // the second dispatcher.
     let mut conn = TcpStream::connect(&http_addr).unwrap();
     let mut reader = HttpReader::new(conn.try_clone().unwrap());
     let payload = dca_serve::proto::FigureRequest::render_payload(
@@ -228,7 +236,7 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
 
     // The survivor starts while the victim is queued or executing.
     let survivor = {
-        let addr = frame_addr.clone();
+        let addr = sock.clone();
         let out = base.join("survivor.md");
         std::thread::spawn(move || {
             run_client(&client_opts(&addr, figure_mode("60000"), Some(out.clone()), None))
@@ -244,7 +252,7 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
 
     // The survivor's bytes match an undisturbed rerun.
     let out = base.join("rerun.md");
-    run_client(&client_opts(&frame_addr, figure_mode("60000"),
+    run_client(&client_opts(&sock, figure_mode("60000"),
         Some(out.clone()), None)).expect("rerun");
     assert_eq!(
         std::fs::read_to_string(&out).unwrap(),
@@ -252,5 +260,5 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
         "cancellation left the neighbour's result untouched"
     );
     let _ = std::fs::remove_dir_all(&base);
-    shutdown(&frame_addr, handle);
+    shutdown(&sock, handle);
 }
