@@ -6,7 +6,13 @@ use dca_bench::{Lab, Machine, RunOpts, SchemeKind};
 use dca_stats::Table;
 
 fn main() {
-    let (opts, _) = RunOpts::from_args(std::env::args().skip(1));
+    let opts = match RunOpts::parse(std::env::args().skip(1)) {
+        Ok((opts, _)) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
     let mut lab = Lab::new(opts);
     let mut t = Table::new(&[
         "bench",

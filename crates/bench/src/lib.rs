@@ -1,8 +1,9 @@
 //! # dca-bench — the experiment harness
 //!
 //! Regenerates **every table and figure** of the paper's evaluation
-//! (§3) as text artefacts. Each `figNN` binary reproduces one figure;
-//! `figures` runs everything and writes `results/*.md`.
+//! (§3) as text artefacts: `dca figures [ID ...]` (or the `figures`
+//! binary) regenerates the named figures, or all of them, and writes
+//! `results/*.md`.
 //!
 //! The heart of the crate is [`Lab`], which memoises simulation runs:
 //! several figures share the same (benchmark, machine, scheme) runs —
@@ -392,7 +393,7 @@ impl Default for RunOpts {
     }
 }
 
-/// Flags of the [`RunOpts::from_args`] grammar that configure the
+/// Flags of the [`RunOpts::parse`] grammar that configure the
 /// *process* — persistence placement, lock patience, observability
 /// sinks, verbosity — rather than the simulation. A serve daemon
 /// refuses them on the wire (they belong to whoever started the
@@ -431,91 +432,74 @@ impl RunOpts {
     /// `.dca-store` unless `--store-dir` chooses another directory or
     /// `--no-store` disables it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed value (unknown scale, non-numeric
-    /// instruction budget).
-    pub fn from_args(args: impl Iterator<Item = String>) -> (RunOpts, Vec<String>) {
+    /// A message naming the flag on a missing or malformed value
+    /// (unknown scale, non-numeric instruction budget, zero sampling
+    /// period).
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(RunOpts, Vec<String>), String> {
+        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn number<T: std::str::FromStr>(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<T, String> {
+            let v = value(args, flag)?;
+            v.parse()
+                .map_err(|_| format!("{flag} needs a number, got `{v}`"))
+        }
         let mut opts = RunOpts::default();
         let mut rest = Vec::new();
-        let mut args = args.peekable();
+        let mut args = args.into_iter();
         let mut explicit_max = false;
         let mut no_store = false;
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
-                    let v = args.next().unwrap_or_default();
-                    opts.scale = Scale::from_name(&v).unwrap_or_else(|e| panic!("{e}"));
+                    opts.scale =
+                        Scale::from_name(&value(&mut args, &a)?).map_err(|e| format!("{a}: {e}"))?;
                 }
                 "--max-insts" => {
-                    opts.max_insts = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-insts needs a number");
+                    opts.max_insts = number(&mut args, &a)?;
                     explicit_max = true;
                 }
                 "--sample-period" | "--sample-warmup" | "--sample-interval" => {
-                    let v: u64 = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("{a} needs a number"));
+                    let v: u64 = number(&mut args, &a)?;
+                    if v == 0 && a != "--sample-warmup" {
+                        return Err(format!("{a} must be non-zero"));
+                    }
                     let s = opts.sampling.get_or_insert_with(SampleOpts::default);
                     match a.as_str() {
-                        "--sample-period" => {
-                            assert!(v > 0, "--sample-period must be non-zero");
-                            s.period = v;
-                        }
+                        "--sample-period" => s.period = v,
                         "--sample-warmup" => s.warmup = v,
-                        _ => {
-                            assert!(v > 0, "--sample-interval must be non-zero");
-                            s.interval = v;
-                        }
+                        _ => s.interval = v,
                     }
                 }
                 "--target-stderr" => {
-                    let v: f64 = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--target-stderr needs a number (IPC; 0 disables)");
-                    assert!(v >= 0.0, "--target-stderr must be non-negative");
+                    let v: f64 = number(&mut args, &a)?;
+                    if v.is_nan() || v < 0.0 {
+                        return Err(format!("{a} must be non-negative (IPC; 0 disables)"));
+                    }
                     let s = opts.sampling.get_or_insert_with(SampleOpts::default);
                     s.target_stderr = (v > 0.0).then_some(v);
                 }
                 "--warming" => {
-                    let v = args.next().unwrap_or_default();
-                    let w = Warming::from_name(&v).unwrap_or_else(|e| panic!("{e}"));
+                    let w = Warming::from_name(&value(&mut args, &a)?)
+                        .map_err(|e| format!("{a}: {e}"))?;
                     opts.sampling.get_or_insert_with(SampleOpts::default).warming = w;
                 }
-                "--store-dir" => {
-                    let v = args.next().expect("--store-dir needs a directory");
-                    opts.store_dir = Some(PathBuf::from(v));
-                }
-                "--lock-wait-secs" => {
-                    opts.lock_wait_secs = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--lock-wait-secs needs a number of seconds"),
-                    );
-                }
-                "--stale-secs" => {
-                    opts.stale_secs = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--stale-secs needs a number of seconds"),
-                    );
-                }
+                "--store-dir" => opts.store_dir = Some(PathBuf::from(value(&mut args, &a)?)),
+                "--lock-wait-secs" => opts.lock_wait_secs = Some(number(&mut args, &a)?),
+                "--stale-secs" => opts.stale_secs = Some(number(&mut args, &a)?),
                 "--no-store" => no_store = true,
                 "--warm-steering" => opts.warm_steering = true,
                 "--verbose" => opts.verbose = true,
                 "--quiet" | "-q" => opts.quiet = true,
-                "--trace-out" => {
-                    let v = args.next().expect("--trace-out needs a file path");
-                    opts.trace_out = Some(PathBuf::from(v));
-                }
-                "--metrics-out" => {
-                    let v = args.next().expect("--metrics-out needs a file path");
-                    opts.metrics_out = Some(PathBuf::from(v));
-                }
+                "--trace-out" => opts.trace_out = Some(PathBuf::from(value(&mut args, &a)?)),
+                "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value(&mut args, &a)?)),
                 _ => rest.push(a),
             }
         }
@@ -530,7 +514,18 @@ impl RunOpts {
         } else if opts.store_dir.is_none() && opts.sampling.is_some() {
             opts.store_dir = Some(PathBuf::from(".dca-store"));
         }
-        (opts, rest)
+        Ok((opts, rest))
+    }
+
+    /// [`RunOpts::parse`] for callers that treat a malformed value as
+    /// a bug; kept with this signature for the standalone benchmark
+    /// replay (`perfbench/replay`), which links it.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`RunOpts::parse`]'s message on a malformed value.
+    pub fn from_args(args: impl Iterator<Item = String>) -> (RunOpts, Vec<String>) {
+        Self::parse(args).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Applies the observability options process-wide: the progress
@@ -1943,35 +1938,37 @@ fn release_workers(n: usize) {
     worker_budget().fetch_add(n as i64, Ordering::SeqCst);
 }
 
-/// Shared `main` for the figure binaries: parses common options,
-/// regenerates the requested artefacts (or the one fixed by the thin
-/// per-figure binaries), prints them and saves them under `results/`.
-///
-/// # Panics
-///
-/// Panics on unknown figure names or malformed options — these are
-/// developer-facing binaries.
-pub fn run_cli(fixed: Option<&'static str>) {
-    run_cli_with(std::env::args().skip(1), fixed);
+/// Shared `main` for the `figures` binary: [`run_cli_with`] over the
+/// process arguments; on a malformed option or unknown figure id it
+/// prints `error: …` and exits with status 1.
+pub fn run_cli() {
+    if let Err(e) = run_cli_with(std::env::args().skip(1)) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
 }
 
-/// [`run_cli`] over an explicit argument list (callers that already
-/// consumed part of the command line, e.g. the `dca figures`
-/// subcommand, pass the remainder here).
+/// Parses common options, regenerates the requested artefacts (no id:
+/// everything), prints them and saves them under `results/`. Callers
+/// that already consumed part of the command line (the `dca figures`
+/// subcommand) pass the remainder.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed options or an unknown figure id.
-pub fn run_cli_with(args: impl Iterator<Item = String>, fixed: Option<&'static str>) {
-    let (opts, rest) = RunOpts::from_args(args);
+/// A malformed option value or an unknown figure id, reported before
+/// any work starts.
+pub fn run_cli_with(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let (opts, rest) = RunOpts::parse(args)?;
+    let selected = if rest.is_empty() { vec!["all".to_string()] } else { rest };
+    if let Some(bad) = selected
+        .iter()
+        .find(|sel| *sel != "all" && figures::by_name(sel).is_none())
+    {
+        return Err(format!("unknown figure `{bad}`; try `all`"));
+    }
     opts.apply_observability();
     let mut lab = Lab::new(opts.clone());
     let out = std::path::PathBuf::from("results");
-    let selected: Vec<String> = match fixed {
-        Some(f) => vec![f.to_string()],
-        None if rest.is_empty() => vec!["all".to_string()],
-        None => rest,
-    };
     let t0 = std::time::Instant::now();
     let mut generated = Vec::new();
     for sel in &selected {
@@ -1981,9 +1978,7 @@ pub fn run_cli_with(args: impl Iterator<Item = String>, fixed: Option<&'static s
                 generated.push(fig.id.to_string());
             }
         } else {
-            let f = figures::by_name(sel)
-                .unwrap_or_else(|| panic!("unknown figure `{sel}`; try `all`"));
-            let fig = f(&mut lab);
+            let fig = figures::by_name(sel).expect("validated above")(&mut lab);
             emit(&fig, &out);
             generated.push(fig.id.to_string());
         }
@@ -2015,6 +2010,7 @@ pub fn run_cli_with(args: impl Iterator<Item = String>, fixed: Option<&'static s
         progress::info(format!("[lab] wrote {}", manifest_path.display()));
     }
     opts.write_observability();
+    Ok(())
 }
 
 fn emit(fig: &figures::Figure, out: &std::path::Path) {
@@ -2103,6 +2099,25 @@ mod tests {
         );
     }
 
+    /// A malformed value is an error naming its flag — never a panic
+    /// (the serve front maps it to a 400, the CLI to exit 1).
+    #[test]
+    fn malformed_values_are_errors_naming_the_flag() {
+        for argv in [
+            &["--scale", "huge"][..],
+            &["--max-insts", "lots"],
+            &["--sample-period", "0"],
+            &["--sample-interval", "0"],
+            &["--target-stderr", "-1"],
+            &["--warming", "tepid"],
+            &["--stale-secs", "soon"],
+            &["--store-dir"],
+        ] {
+            let err = RunOpts::parse(argv.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.contains(argv[0]), "{argv:?}: {err:?}");
+        }
+    }
+
     #[test]
     fn sample_flags_enable_sampling_at_any_scale() {
         let (o, _) = RunOpts::from_args(
@@ -2142,7 +2157,7 @@ mod tests {
     }
 
     /// The serve refusal table cannot drift from the parser: every
-    /// flag listed as server-side is actually a flag `from_args`
+    /// flag listed as server-side is actually a flag `parse`
     /// consumes (with a value exactly when the table says so).
     #[test]
     fn server_side_flags_match_the_parser() {
@@ -2151,7 +2166,7 @@ mod tests {
             if takes_value {
                 argv.push("1".to_string());
             }
-            let (_, rest) = RunOpts::from_args(argv.into_iter());
+            let (_, rest) = RunOpts::parse(argv).unwrap();
             assert!(
                 rest.is_empty(),
                 "`{flag}` is listed in SERVER_SIDE_FLAGS but the parser left {rest:?}"

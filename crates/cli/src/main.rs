@@ -34,8 +34,7 @@ USAGE:
     dca slices  [--bench NAME | --kernel NAME | --asm FILE]
     dca list
     dca figures [ID ...]          (no ID: regenerate everything)
-    dca store   stat|verify|gc|fsck [--repair] [--store-dir DIR]
-                [--stale-secs N]
+    dca store   stat|verify|gc [--store-dir DIR] [--stale-secs N]
     dca serve   [--listen ADDR] [--http-addr ADDR] [--jobs K]
                 [--store-dir DIR | --no-store] [--lock-wait-secs N]
                 [--stale-secs N]
@@ -70,11 +69,13 @@ store directory (default .dca-store; --store-dir DIR overrides,
 and finished intervals. Shards carry per-shard checksums, writes are
 temp+atomic-rename, and concurrent processes coordinate through
 advisory shard locks, so several runs may share one --store-dir.
-`dca store stat` summarises the directory, `verify` checksums every
-shard (exit 0 clean, 1 corrupt/stale, 2 I/O error), `gc` deletes
-corrupt or stale-version entries (skipping shards a live writer
-holds locked), `fsck` additionally sweeps orphaned temp files and
-dead-owner locks (--repair also deletes damaged shards).
+The store is a recomputable cache: `dca store stat` summarises the
+directory, `verify` checksums every file and names the first damaged
+record (read-only; exit 0 clean, 1 corrupt/stale, 2 I/O error), and
+`gc` — the only verb that writes — deletes corrupt or stale-version
+files, including any an older store format left in the root
+(skipping shards a live writer holds locked), orphaned temp files
+and dead-owner locks.
 --lock-wait-secs N bounds how long a run waits for a peer's shard
 lock before degrading to in-memory compute; --stale-secs N is the
 shared staleness threshold for lock takeover and temp sweeps.
@@ -128,12 +129,9 @@ fn main() -> ExitCode {
         }
         "serve" => dca_serve::cmd_serve(args),
         "client" => dca_serve::cmd_client(args),
-        "figures" => {
-            // Delegate to the bench harness (same artefacts as the
-            // fig*/table*/ablate_* binaries).
-            dca_bench::run_cli_with(args.into_iter(), None);
-            Ok(())
-        }
+        // Delegate to the bench harness (the same artefacts as the
+        // `figures` binary).
+        "figures" => dca_bench::run_cli_with(args.into_iter()),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
@@ -221,14 +219,14 @@ fn load_program(
     }
 }
 
-fn parse_opts(args: Vec<String>) -> (RunOpts, Flags) {
-    let (opts, rest) = RunOpts::from_args(args.into_iter());
+fn parse_opts(args: Vec<String>) -> Result<(RunOpts, Flags), String> {
+    let (opts, rest) = RunOpts::parse(args)?;
     opts.apply_observability();
-    (opts, Flags(rest))
+    Ok((opts, Flags(rest)))
 }
 
 fn cmd_run(args: Vec<String>) -> Result<(), String> {
-    let (opts, mut flags) = parse_opts(args);
+    let (opts, mut flags) = parse_opts(args)?;
     let bench = flags.take("--bench");
     let kernel = flags.take("--kernel");
     let asm = flags.take("--asm");
@@ -332,7 +330,7 @@ fn save_run_manifest(
 }
 
 fn cmd_compare(args: Vec<String>) -> Result<(), String> {
-    let (opts, mut flags) = parse_opts(args);
+    let (opts, mut flags) = parse_opts(args)?;
     let bench = flags.take("--bench").unwrap_or_else(|| "all".into());
     let schemes: Vec<SchemeKind> = match flags.take("--schemes") {
         Some(list) => list
@@ -390,7 +388,7 @@ fn cmd_compare(args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_slices(args: Vec<String>) -> Result<(), String> {
-    let (opts, mut flags) = parse_opts(args);
+    let (opts, mut flags) = parse_opts(args)?;
     let bench = flags.take("--bench");
     let kernel = flags.take("--kernel");
     let asm = flags.take("--asm");
@@ -401,7 +399,7 @@ fn cmd_slices(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints one `verify`/`fsck`-style status line and returns the exit
+/// Prints one `verify` status line and returns the exit
 /// code the report implies (0 clean, 1 corrupt/stale, 2 I/O error).
 fn print_file_report(r: &dca_store::FileReport) -> u8 {
     use dca_store::FileStatus;
@@ -467,18 +465,12 @@ fn cmd_store(args: Vec<String>) -> Result<ExitCode, String> {
     } else {
         flags.0.remove(0)
     };
-    let repair = flags.0.iter().position(|a| a == "--repair").map(|i| {
-        flags.0.remove(i);
-    });
     flags.finish("store")?;
-    if repair.is_some() && sub != "fsck" {
-        return Err("--repair only applies to `dca store fsck`".into());
-    }
     let mut store = Store::open(&dir);
     if let Some(secs) = stale_secs {
         store = store.with_stale_after(std::time::Duration::from_secs(secs));
     }
-    let code = cmd_store_sub(&store, &dir, &sub, repair.is_some())?;
+    let code = cmd_store_sub(&store, &dir, &sub)?;
     // Every store op runs through the instrumented I/O layer, so the
     // session counters are exactly this maintenance op's footprint.
     let m = dca_obs::metrics();
@@ -494,12 +486,7 @@ fn cmd_store(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(code)
 }
 
-fn cmd_store_sub(
-    store: &dca_store::Store,
-    dir: &str,
-    sub: &str,
-    repair: bool,
-) -> Result<ExitCode, String> {
+fn cmd_store_sub(store: &dca_store::Store, dir: &str, sub: &str) -> Result<ExitCode, String> {
     match sub {
         "stat" => {
             let s = store.stat();
@@ -538,17 +525,11 @@ fn cmd_store_sub(
             if s.unreadable_files > 0 {
                 println!("  unreadable shards:  {} (run `dca store gc`)", s.unreadable_files);
             }
-            if s.legacy_files > 0 {
-                println!(
-                    "  legacy (v2) files:  {} (unmigratable; run `dca store gc`)",
-                    s.legacy_files
-                );
-            }
             if s.live_locks > 0 {
                 println!("  live shard locks:   {} (writers in flight)", s.live_locks);
             }
             if s.stale_locks > 0 {
-                println!("  stale shard locks:  {} (run `dca store fsck`)", s.stale_locks);
+                println!("  stale shard locks:  {} (run `dca store gc`)", s.stale_locks);
             }
             println!(
                 "  versions: interpreter {}, timing model {}, container {}",
@@ -592,35 +573,7 @@ fn cmd_store_sub(
             }
             Ok(ExitCode::SUCCESS)
         }
-        "fsck" => {
-            let r = store.fsck(repair);
-            let mut code = 0u8;
-            for file in &r.reports {
-                code = code.max(print_file_report(file));
-            }
-            println!(
-                "store {dir}: swept {} temp file(s), {} stale lock(s)",
-                r.temps_removed, r.stale_locks_removed
-            );
-            if repair {
-                println!("  repaired (removed) {} damaged shard(s)", r.repaired);
-            }
-            if r.skipped_locked > 0 {
-                println!(
-                    "  skipped {} damaged shard(s) under a live writer lock",
-                    r.skipped_locked
-                );
-            }
-            // Repair clears damage, so only I/O errors — or damage
-            // left behind under a live lock — keep a non-zero exit.
-            if repair && r.skipped_locked == 0 && code == 1 {
-                code = 0;
-            }
-            Ok(ExitCode::from(code))
-        }
-        other => Err(format!(
-            "unknown store subcommand `{other}` (stat|verify|gc|fsck)"
-        )),
+        other => Err(format!("unknown store subcommand `{other}` (stat|verify|gc)")),
     }
 }
 

@@ -130,10 +130,17 @@ fn error_paths_fail_with_diagnostics() {
             &["run", "--bench", "li", "--machine", "warp", "--scale", "smoke"],
             "unknown machine",
         ),
+        // Malformed option values and unknown figure ids are clean
+        // errors too, not panics.
+        (&["figures", "nope"], "unknown figure `nope`"),
+        (&["run", "--bench", "li", "--scale", "huge"], "--scale: unknown scale `huge`"),
+        (&["compare", "--max-insts", "lots"], "--max-insts needs a number"),
+        (&["figures", "sampling", "--sample-period", "0"], "--sample-period must be non-zero"),
     ];
     for (args, needle) in cases {
         let o = dca(args);
-        assert!(!o.status.success(), "{args:?} must fail");
+        assert_eq!(o.status.code(), Some(1), "{args:?} must exit 1: {}", stderr(&o));
+        assert!(!stderr(&o).contains("panicked"), "{args:?} panicked: {}", stderr(&o));
         assert!(
             stderr(&o).contains(needle),
             "{args:?}: stderr {:?} missing {needle:?}",
@@ -367,31 +374,68 @@ fn store_lifecycle_stat_verify_gc() {
     assert!(stdout(&o).contains("io-error"));
     std::fs::remove_dir_all(&imposter).unwrap();
 
-    // fsck sweeps an orphaned temp and a dead-owner lock.
+    // gc is the one cleanup verb: it reaps an orphaned temp, a
+    // dead-owner lock, a damaged shard and a file an older store
+    // format left in the root, and keeps every healthy shard.
     let temp = store_dir.join("ck").join(".tmp-999999999-0-ck_orphan.dcc");
     std::fs::write(&temp, b"half-written").unwrap();
     let locks = store_dir.join("locks");
     std::fs::create_dir_all(&locks).unwrap();
-    std::fs::write(
-        locks.join("ck_orphan.dcc.lock"),
-        b"DCALOCK1 pid=999999999 ts=0 seq=0\n",
-    )
-    .unwrap();
-    let o = dca(&["store", "fsck", "--store-dir", store_arg]);
+    let dead_lock = locks.join("ck_orphan.dcc.lock");
+    std::fs::write(&dead_lock, b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
+    let victim = std::fs::read_dir(store_dir.join("rs"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "dcr"))
+        .expect("another result shard persisted");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x55;
+    std::fs::write(&victim, bytes).unwrap();
+    let mut v2 = b"DCASTORE".to_vec();
+    for word in [2u32, 1, 0, 0] {
+        v2.extend_from_slice(&word.to_le_bytes());
+    }
+    v2.extend_from_slice(&[0; 8]);
+    let flat = store_dir.join("ck_old_smoke_p1_m2.dcc");
+    std::fs::write(&flat, &v2).unwrap();
+    let o = dca(&["store", "stat", "--store-dir", store_arg]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(
+        stdout(&o).contains("stale shard locks:  1 (run `dca store gc`)"),
+        "{}",
+        stdout(&o)
+    );
+    let o = dca(&["store", "verify", "--store-dir", store_arg]);
+    assert_eq!(o.status.code(), Some(1), "damaged and stale files exit 1");
+    assert!(
+        stdout(&o).contains("stale    ck_old_smoke_p1_m2.dcc (container format version 2, current 3)"),
+        "{}",
+        stdout(&o)
+    );
+    let o = dca(&["store", "gc", "--store-dir", store_arg]);
     assert!(o.status.success(), "{}", stderr(&o));
     // The dead-owner temp may already fall to the startup sweep that
-    // `Store::open` runs; either way it is gone and the stale lock is
-    // fsck's to reap.
-    assert!(stdout(&o).contains("1 stale lock(s)"), "{}", stdout(&o));
+    // `Store::open` runs; either way it is gone.
     assert!(!temp.exists(), "orphaned temp removed");
+    assert!(!dead_lock.exists(), "dead-owner lock removed");
+    assert!(!victim.exists(), "damaged shard removed");
+    assert!(!flat.exists(), "older-format file removed");
+    let o = dca(&["store", "verify", "--store-dir", store_arg]);
+    assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
+    assert!(stdout(&o).contains("ck_compress_smoke"), "healthy shards kept");
 
-    // Unknown subcommand is a clean error; --repair needs fsck.
-    let o = dca(&["store", "frobnicate"]);
-    assert!(!o.status.success());
-    assert!(stderr(&o).contains("unknown store subcommand"));
-    let o = dca(&["store", "verify", "--repair", "--store-dir", store_arg]);
-    assert!(!o.status.success());
-    assert!(stderr(&o).contains("--repair only applies"));
+    // Unknown subcommands — `fsck` among them — are clean errors.
+    for sub in ["frobnicate", "fsck"] {
+        let o = dca(&["store", sub, "--store-dir", store_arg]);
+        assert_eq!(o.status.code(), Some(1), "{sub}");
+        assert!(
+            stderr(&o).contains(&format!("unknown store subcommand `{sub}`")),
+            "{}",
+            stderr(&o)
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,7 +30,7 @@ pub enum Mode {
     Figure {
         /// Figure id.
         figure: String,
-        /// `RunOpts::from_args`-grammar options forwarded verbatim.
+        /// `RunOpts::parse`-grammar options forwarded verbatim.
         args: Vec<String>,
     },
     /// Liveness probe (reports the protocol version).

@@ -5,7 +5,7 @@
 //! adds no dependency. A figure request carries the figure id plus
 //! harness options in the *CLI's own argument grammar*
 //! (`--scale paper`, `--target-stderr 0`, …), which the server parses
-//! with [`dca_bench::RunOpts::from_args`] — serve requests and shell
+//! with [`dca_bench::RunOpts::parse`] — serve requests and shell
 //! invocations cannot drift apart because they share one parser.
 //!
 //! Deduplication needs a canonical identity for "the same request":
@@ -44,7 +44,8 @@ impl FigureRequest {
     /// Parses a `POST /v1/figures` body:
     /// `{"figure": "fig03", "args": ["--scale", "paper", ...]}`.
     ///
-    /// Rejects unknown figures, unparsed leftover arguments, and any
+    /// Rejects unknown figures, malformed option values (naming the
+    /// flag), unparsed leftover arguments, and any
     /// attempt to steer the server's own store or observability from
     /// a request (`--store-dir`, `--trace-out`, …) — those belong to
     /// whoever started the daemon.
@@ -73,7 +74,7 @@ impl FigureRequest {
                 return Err(format!("`{forbidden}` is a server-side option"));
             }
         }
-        let (opts, rest) = RunOpts::from_args(args.into_iter());
+        let (opts, rest) = RunOpts::parse(args)?;
         if !rest.is_empty() {
             return Err(format!("unrecognised request options: {rest:?}"));
         }
@@ -339,6 +340,9 @@ mod tests {
                 br#"{"figure": "sampling", "args": ["--store-dir", "/tmp/x"]}"#,
                 "server-side",
             ),
+            (br#"{"figure": "sampling", "args": ["--scale", "huge"]}"#, "--scale"),
+            (br#"{"figure": "sampling", "args": ["--max-insts", "lots"]}"#, "--max-insts"),
+            (br#"{"figure": "sampling", "args": ["--sample-period", "0"]}"#, "--sample-period"),
         ] {
             let err = FigureRequest::parse(payload).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
@@ -348,7 +352,7 @@ mod tests {
     /// Every entry of the shared refusal table is refused on the
     /// wire, with a message naming the flag and the reason, while the
     /// same flag still parses fine locally (the table is shared with
-    /// `RunOpts::from_args`, which accepts them).
+    /// `RunOpts::parse`, which accepts them).
     #[test]
     fn every_server_side_flag_is_refused_on_the_wire() {
         for &(flag, takes_value) in dca_bench::SERVER_SIDE_FLAGS {

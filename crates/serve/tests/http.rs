@@ -106,9 +106,24 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(ToString::to_string).collect()
 }
 
+/// Connects to either listener with a read timeout, so a server that
+/// never answers fails the test instead of hanging it.
+fn connect(addr: &str) -> Box<dyn Conn> {
+    let timeout = Some(std::time::Duration::from_secs(60));
+    if net::is_unix(addr) {
+        let s = std::os::unix::net::UnixStream::connect(addr).unwrap();
+        s.set_read_timeout(timeout).unwrap();
+        Box::new(s)
+    } else {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(timeout).unwrap();
+        Box::new(s)
+    }
+}
+
 /// One request on a fresh connection to either listener.
 fn round(addr: &str, method: &str, target: &str, body: Option<&[u8]>) -> HttpResponse {
-    let mut conn = net::connect(addr).unwrap();
+    let mut conn = connect(addr);
     let mut reader = HttpReader::new(conn.try_clone_conn().unwrap());
     write_request(
         &mut conn,
@@ -338,6 +353,18 @@ fn every_server_side_flag_is_refused_over_both_listeners() {
             assert!(text.contains(flag), "{addr}: error names {flag}: {text}");
         }
     }
+    // A malformed value is refused the same way — a 400 naming the
+    // flag, never a dropped connection.
+    for bad in [["--scale", "huge"], ["--max-insts", "lots"], ["--sample-period", "0"]] {
+        let payload = FigureRequest::render_payload("fig03", &args(&bad));
+        for addr in [&d.sock, &d.tcp] {
+            let resp = round(addr, "POST", "/v1/figures", Some(&payload));
+            assert_eq!(resp.status, 400, "{addr} refuses {bad:?}");
+            let text = String::from_utf8_lossy(&resp.body);
+            assert!(text.contains(bad[0]), "{addr}: error names {}: {text}", bad[0]);
+        }
+    }
+    assert_eq!(round(&d.tcp, "GET", "/v1/ping", None).status, 200, "daemon still serving");
     d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,27 +1,6 @@
 //! Shared container primitives: magic, format version, file kinds,
 //! header fields, the FNV-1a checksum, and little-endian record
-//! readers. The current (v3) shard layout lives in [`crate::shard`];
-//! this module also keeps the **legacy v2** monolith codec, used only
-//! to migrate pre-shard stores in place (and to verify the migrated
-//! content against the old file's checksum).
-//!
-//! Legacy v2 layout (one flat file per entry, no header checksum, no
-//! per-record checksums):
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"DCASTORE"
-//! 8       4     format_version (u32 LE) — 2
-//! 12      4     kind           (u32 LE) — 1 checkpoints, 2 results
-//! 16      4     interp_version (u32 LE)
-//! 20      4     timing_version (u32 LE)
-//! 24      …     records: [len: u32 LE][len bytes] …
-//! end-8   8     FNV-1a 64 checksum of every preceding byte (u64 LE)
-//! ```
-
-use std::path::Path;
-
-use crate::StoreError;
+//! readers. The shard layout itself lives in [`crate::shard`].
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"DCASTORE";
@@ -33,19 +12,12 @@ pub const MAGIC: [u8; 8] = *b"DCASTORE";
 /// History: 2 — checkpoint streams gained the microarchitectural
 /// snapshot record kind (continuous warming) and result metas the
 /// warming-mode flag. 3 — sharded store: per-kind subdirectories,
-/// checksummed 40-byte header with record count, per-record checksums
-/// (v2 monoliths are migrated in place at open; v1 files are rejected
-/// and recomputed).
+/// checksummed 40-byte header with record count, per-record checksums.
+/// Files of any other version are stale: `verify` reports them, `gc`
+/// deletes them and the next run recomputes them.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// The previous (monolithic, flat-directory) container version, still
-/// readable by the migration path.
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
-
-/// Legacy v2 header length in bytes.
-pub const LEGACY_HEADER_BYTES: usize = 24;
-
-/// Trailing whole-file checksum length in bytes (same in v2 and v3).
+/// Trailing whole-file checksum length in bytes.
 pub const TRAILER_BYTES: usize = 8;
 
 /// What a store file contains.
@@ -117,92 +89,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        path: path.to_path_buf(),
-        reason: reason.into(),
-    }
-}
-
-/// Serializes header + records + checksum in the **legacy v2** layout.
-/// Only the migration path uses this, to re-derive the checksum a v2
-/// file *should* have had for given content.
-pub fn encode_file_v2(header: &FileHeader, records: &[Vec<u8>]) -> Vec<u8> {
-    let body: usize = records.iter().map(|r| 4 + r.len()).sum();
-    let mut out = Vec::with_capacity(LEGACY_HEADER_BYTES + body + TRAILER_BYTES);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&header.format_version.to_le_bytes());
-    out.extend_from_slice(&header.kind.tag().to_le_bytes());
-    out.extend_from_slice(&header.interp_version.to_le_bytes());
-    out.extend_from_slice(&header.timing_version.to_le_bytes());
-    for r in records {
-        out.extend_from_slice(&(u32::try_from(r.len()).expect("record fits u32")).to_le_bytes());
-        out.extend_from_slice(r);
-    }
-    let sum = fnv64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Validates and splits a **legacy v2** monolith image: magic,
-/// container version (must be exactly [`LEGACY_FORMAT_VERSION`]),
-/// whole-file checksum, then record framing.
-///
-/// # Errors
-///
-/// [`StoreError::Corrupt`] on any structural violation;
-/// [`StoreError::Version`] when the container format is not v2 (v1
-/// files are unmigratable and get recomputed).
-pub fn read_records_v2(bytes: &[u8], path: &Path) -> Result<(FileHeader, Vec<Vec<u8>>), StoreError> {
-    if bytes.len() < LEGACY_HEADER_BYTES + TRAILER_BYTES {
-        return Err(corrupt(path, "shorter than header + checksum"));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt(path, "bad magic"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_BYTES);
-    let expect = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let actual = fnv64(body);
-    if expect != actual {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch (stored {expect:#018x}, computed {actual:#018x})"),
-        ));
-    }
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    let format_version = word(8);
-    if format_version != LEGACY_FORMAT_VERSION {
-        return Err(StoreError::Version {
-            path: path.to_path_buf(),
-            what: "container format",
-            found: format_version,
-            expected: LEGACY_FORMAT_VERSION,
-        });
-    }
-    let kind = FileKind::from_tag(word(12)).ok_or_else(|| corrupt(path, "unknown file kind"))?;
-    let header = FileHeader {
-        kind,
-        format_version,
-        interp_version: word(16),
-        timing_version: word(20),
-    };
-    let mut records = Vec::new();
-    let mut rest = &body[LEGACY_HEADER_BYTES..];
-    while !rest.is_empty() {
-        if rest.len() < 4 {
-            return Err(corrupt(path, "dangling record length"));
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        rest = &rest[4..];
-        if rest.len() < len {
-            return Err(corrupt(path, "record overruns file"));
-        }
-        records.push(rest[..len].to_vec());
-        rest = &rest[len..];
-    }
-    Ok((header, records))
-}
-
 /// Little-endian reader over one record payload, shared by the typed
 /// codecs.
 pub(crate) struct Reader<'a> {
@@ -263,64 +149,6 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn header() -> FileHeader {
-        FileHeader {
-            kind: FileKind::Checkpoints,
-            format_version: LEGACY_FORMAT_VERSION,
-            interp_version: 7,
-            timing_version: 0,
-        }
-    }
-
-    #[test]
-    fn legacy_codec_round_trips() {
-        let records = vec![vec![1, 2, 3], vec![], vec![0xff; 1000]];
-        let bytes = encode_file_v2(&header(), &records);
-        let (h, got) = read_records_v2(&bytes, Path::new("x.dcc")).unwrap();
-        assert_eq!(h, header());
-        assert_eq!(got, records);
-    }
-
-    #[test]
-    fn legacy_truncation_and_bitflips_are_corrupt() {
-        let good = encode_file_v2(&header(), &[vec![9u8; 64]]);
-        let p = Path::new("c.dcc");
-        assert!(matches!(
-            read_records_v2(&good[..good.len() - 3], p),
-            Err(StoreError::Corrupt { .. })
-        ));
-        let mut flipped = good.clone();
-        flipped[LEGACY_HEADER_BYTES + 10] ^= 0x20;
-        assert!(matches!(
-            read_records_v2(&flipped, p),
-            Err(StoreError::Corrupt { .. })
-        ));
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            read_records_v2(&bad, p),
-            Err(StoreError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_reader_only_accepts_v2() {
-        // A v1-shaped file (same layout, older version tag): version
-        // error, so migration skips it and recompute takes over.
-        let h = FileHeader {
-            format_version: 1,
-            ..header()
-        };
-        let bytes = encode_file_v2(&h, &[vec![1]]);
-        match read_records_v2(&bytes, Path::new("v1.dcc")) {
-            Err(StoreError::Version { found, expected, .. }) => {
-                assert_eq!(found, 1);
-                assert_eq!(expected, LEGACY_FORMAT_VERSION);
-            }
-            other => panic!("expected version error, got {other:?}"),
-        }
-    }
 
     #[test]
     fn kind_round_trips() {

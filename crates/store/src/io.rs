@@ -23,8 +23,10 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Creates (truncating) a file, writes `bytes`, and syncs it.
     fn write_all(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Creates a file that must not yet exist (`O_EXCL`), writes
-    /// `bytes`, and syncs it. The lock protocol's atomic primitive.
+    /// Creates a file that must not yet exist, with content `bytes`,
+    /// synced. The lock protocol's atomic primitive: the file appears
+    /// with its content already in place (fails with `AlreadyExists`
+    /// when it exists).
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` onto `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -54,9 +56,16 @@ impl StoreIo for RealIo {
     }
 
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::File::create_new(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+        // Write a private sibling, then hard-link it into place (`link`
+        // refuses an existing target, like `O_EXCL`): a peer must never
+        // see the file before its content, or it would read an empty
+        // lock and break it as abandoned.
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("lock");
+        let tmp = path.with_file_name(crate::shard::temp_name(name));
+        self.write_all(&tmp, bytes)?;
+        let linked = std::fs::hard_link(&tmp, path);
+        let _ = std::fs::remove_file(&tmp);
+        linked
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

@@ -42,9 +42,10 @@
 //! the meta record* (DESIGN.md §8): `dca_prog::INTERP_VERSION` guards
 //! the functional semantics both file kinds depend on,
 //! `dca_sim::TIMING_VERSION` guards result files, and the workload
-//! fingerprint guards against generator changes. [`Store::gc`] deletes
-//! whatever no longer matches; legacy v2 monoliths are migrated to
-//! shards in place at open, verified against their old checksum.
+//! fingerprint guards against generator changes. The store is a
+//! recomputable cache, so there is one on-disk format: [`Store::verify`]
+//! reports whatever no longer matches — including root-level files an
+//! older, pre-shard store left behind — and [`Store::gc`] deletes it.
 //!
 //! # Example
 //!
@@ -182,7 +183,7 @@ pub enum FileStatus {
         records: usize,
     },
     /// Structurally sound but produced under other code versions
-    /// (including unmigrated legacy containers); GC removes it.
+    /// (including older container formats); GC removes it.
     StaleVersion {
         /// Which version field mismatched.
         what: &'static str,
@@ -254,11 +255,9 @@ pub struct StoreStat {
     pub stale_files: u64,
     /// Shards whose header could not be read at all.
     pub unreadable_files: u64,
-    /// Unmigrated legacy (flat v2) files still in the store root.
-    pub legacy_files: u64,
     /// Advisory locks currently held by live owners.
     pub live_locks: u64,
-    /// Advisory locks whose owner is dead (swept by gc/fsck).
+    /// Advisory locks whose owner is dead (swept by gc).
     pub stale_locks: u64,
     /// Per-shard detail (name order, readable shards only).
     pub shards: Vec<ShardStat>,
@@ -280,21 +279,6 @@ pub struct GcReport {
     pub skipped_locked: u64,
 }
 
-/// Result of a [`Store::fsck`] pass.
-#[derive(Debug, Default)]
-pub struct FsckReport {
-    /// Per-file deep-check outcomes (shards and legacy leftovers).
-    pub reports: Vec<FileReport>,
-    /// Orphaned temp files swept.
-    pub temps_removed: u64,
-    /// Stale (dead-owner) locks removed.
-    pub stale_locks_removed: u64,
-    /// Damaged shards deleted (repair mode only).
-    pub repaired: u64,
-    /// Damaged shards left in place because a live lock protects them.
-    pub skipped_locked: u64,
-}
-
 /// Handle on a store directory. All methods take `&self` and the
 /// handle is `Send + Sync`, so one `Store` can be shared across the
 /// Lab's worker threads; independent `Store`s (and processes) sharing
@@ -302,7 +286,7 @@ pub struct FsckReport {
 ///
 /// The handle is also `Clone` — the read-mostly concurrent access
 /// path: a long-lived service (`dca serve`) opens the directory once
-/// (paying the startup sweep/migration once) and hands cheap clones,
+/// (paying the startup sweep once) and hands cheap clones,
 /// which share the same instrumented I/O layer and settings, to every
 /// `Lab` it constructs.
 #[derive(Clone, Debug)]
@@ -315,9 +299,10 @@ pub struct Store {
 
 impl Store {
     /// Opens a store rooted at `root` on the real filesystem. Startup
-    /// housekeeping (best-effort, silent on a missing directory):
-    /// sweeps orphaned temp files and migrates legacy v2 monoliths to
-    /// the sharded layout. The directory is created on first write.
+    /// housekeeping (best-effort, silent on a missing directory)
+    /// sweeps orphaned temp files; nothing else on disk is touched —
+    /// files of another format stay until [`Store::gc`] deletes them.
+    /// The directory is created on first write.
     pub fn open(root: impl Into<PathBuf>) -> Store {
         Self::open_with_io(root, Arc::new(RealIo))
     }
@@ -387,7 +372,7 @@ impl Store {
     }
 
     /// Best-effort open-time housekeeping: sweep orphaned temps
-    /// everywhere we write them, then migrate legacy v2 monoliths.
+    /// everywhere we write them.
     fn startup(&self) {
         if self.io.metadata(&self.root).is_err() {
             return; // nothing on disk yet
@@ -398,13 +383,6 @@ impl Store {
             self.root.join(FileKind::Results.dir()),
         ] {
             shard::sweep_temps(&self.io, &dir, self.stale_after);
-        }
-        let rep = shard::migrate_legacy(&self.io, &self.root);
-        if rep.migrated > 0 || rep.skipped > 0 {
-            dca_obs::progress::info(format!(
-                "dca-store: migrated {} legacy store file(s) to sharded layout ({} left in place)",
-                rep.migrated, rep.skipped
-            ));
         }
     }
 
@@ -613,49 +591,37 @@ impl Store {
         results::decode(&self.shard_path(FileKind::Results, &name), key, &records)
     }
 
-    /// Shard files of one kind in deterministic (name) order. Missing
-    /// directory ⇒ empty.
-    fn kind_entries(&self, kind: FileKind) -> Vec<(PathBuf, u64)> {
-        let Ok(entries) = self.io.read_dir(&self.root.join(kind.dir())) else {
+    /// Store files (`.dcc`/`.dcr`) in `dir` whose kind passes `keep`,
+    /// in deterministic (name) order. `.tmp-*` are in-flight (or
+    /// orphaned) atomic-write temporaries — never store entries.
+    /// Missing directory ⇒ empty.
+    fn files_in(&self, dir: &Path, keep: impl Fn(FileKind) -> bool) -> Vec<(PathBuf, u64)> {
+        let Ok(entries) = self.io.read_dir(dir) else {
             return Vec::new();
         };
         entries
             .into_iter()
             .filter(|(p, _)| {
-                let name = p.file_name().map(|n| n.to_string_lossy().into_owned());
-                let Some(name) = name else { return false };
-                // `.tmp-*` are in-flight (or orphaned) atomic-write
-                // temporaries — never store entries.
-                !name.starts_with(".tmp-")
-                    && Path::new(&name)
-                        .extension()
-                        .and_then(|x| x.to_str())
-                        .is_some_and(|x| x == kind.extension())
+                p.file_name().and_then(|n| n.to_str()).is_some_and(|name| {
+                    !name.starts_with(".tmp-") && shard::kind_of_name(name).is_some_and(&keep)
+                })
             })
             .collect()
     }
 
-    /// All shard files, checkpoints then results, each name-sorted.
+    /// Shard files of one kind, in name order.
+    fn kind_entries(&self, kind: FileKind) -> Vec<(PathBuf, u64)> {
+        self.files_in(&self.root.join(kind.dir()), |k| k == kind)
+    }
+
+    /// All store files: checkpoint shards, result shards, then files in
+    /// the root — what a pre-shard store left behind, never read by a
+    /// load, so `verify` reports them and `gc` deletes them.
     fn entries(&self) -> Vec<(PathBuf, u64)> {
         let mut v = self.kind_entries(FileKind::Checkpoints);
         v.extend(self.kind_entries(FileKind::Results));
+        v.extend(self.files_in(&self.root, |_| true));
         v
-    }
-
-    /// Unmigrated legacy (flat v2) store files still in the root.
-    fn legacy_entries(&self) -> Vec<(PathBuf, u64)> {
-        let Ok(entries) = self.io.read_dir(&self.root) else {
-            return Vec::new();
-        };
-        entries
-            .into_iter()
-            .filter(|(p, _)| {
-                let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
-                    return false;
-                };
-                !name.starts_with(".tmp-") && shard::kind_of_name(name).is_some()
-            })
-            .collect()
     }
 
     /// Directory summary: header reads plus a checksum-free record
@@ -707,7 +673,6 @@ impl Store {
                 Ok((Err(_), _)) | Err(_) => s.unreadable_files += 1,
             }
         }
-        s.legacy_files = self.legacy_entries().len() as u64;
         if let Ok(locks) = self.io.read_dir(&self.root.join("locks")) {
             for (path, _) in locks {
                 let name = path
@@ -821,58 +786,17 @@ impl Store {
         }
     }
 
-    fn report_legacy(&self, path: PathBuf, bytes: u64) -> FileReport {
-        let kind = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(shard::kind_of_name);
-        let status = match self.io.read(&path) {
-            Err(e) => FileStatus::IoError {
-                reason: e.to_string(),
-            },
-            // A readable legacy container (any vintage) is a stale
-            // *format*: open migrates what it can, so whatever is left
-            // here is GC fodder, not data.
-            Ok(b) => match file::read_records_v2(&b, &path) {
-                Ok(_) => FileStatus::StaleVersion {
-                    what: "container format",
-                    found: file::LEGACY_FORMAT_VERSION,
-                    expected: file::FORMAT_VERSION,
-                },
-                Err(StoreError::Version { found, .. }) => FileStatus::StaleVersion {
-                    what: "container format",
-                    found,
-                    expected: file::FORMAT_VERSION,
-                },
-                Err(e) => FileStatus::Corrupt {
-                    reason: format!("unmigratable legacy file: {e}"),
-                },
-            },
-        };
-        FileReport {
-            path,
-            bytes,
-            kind,
-            status,
-        }
-    }
-
-    /// Full validation of every file — shards first (checkpoints then
-    /// results, name order), then unmigrated legacy leftovers. Checks
+    /// Full validation of every file — checkpoint shards, result
+    /// shards, then root-level leftovers, each in name order. Checks
     /// checksums, framing, per-record integrity and version currency;
-    /// never bails early and does not modify anything.
+    /// a damaged shard's report names how many records are intact and
+    /// where damage starts. Never bails early and does not modify
+    /// anything.
     pub fn verify(&self) -> Vec<FileReport> {
-        let mut reports: Vec<FileReport> = self
-            .entries()
+        self.entries()
             .into_iter()
             .map(|(path, bytes)| self.report_shard(path, bytes))
-            .collect();
-        reports.extend(
-            self.legacy_entries()
-                .into_iter()
-                .map(|(path, bytes)| self.report_legacy(path, bytes)),
-        );
-        reports
+            .collect()
     }
 
     /// Deletes every file [`Store::verify`] flags as corrupt or
@@ -929,40 +853,6 @@ impl Store {
             }
         }
         removed
-    }
-
-    /// Filesystem check: sweeps orphaned temps and stale locks, then
-    /// deep-verifies every shard (per-record checksums, so the report
-    /// names the first damaged record). With `repair`, damaged and
-    /// version-stale shards are deleted — except under a live lock —
-    /// so the next run recomputes them.
-    pub fn fsck(&self, repair: bool) -> FsckReport {
-        let mut report = FsckReport::default();
-        for dir in [
-            self.root.clone(),
-            self.root.join(FileKind::Checkpoints.dir()),
-            self.root.join(FileKind::Results.dir()),
-        ] {
-            report.temps_removed += shard::sweep_temps(&self.io, &dir, self.stale_after).0;
-        }
-        report.stale_locks_removed = self.sweep_stale_locks();
-        report.reports = self.verify();
-        if repair {
-            for fr in &report.reports {
-                if matches!(
-                    fr.status,
-                    FileStatus::Corrupt { .. } | FileStatus::StaleVersion { .. }
-                ) {
-                    let name = fr.path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                    if self.live_locked(name) {
-                        report.skipped_locked += 1;
-                    } else if self.io.remove_file(&fr.path).is_ok() {
-                        report.repaired += 1;
-                    }
-                }
-            }
-        }
-        report
     }
 }
 
@@ -1063,7 +953,6 @@ mod tests {
         assert_eq!(s.checkpoint_files.0, 1);
         assert_eq!(s.result_files.0, 1);
         assert_eq!(s.stale_files, 0);
-        assert_eq!(s.legacy_files, 0);
         assert!(s.checkpoint_files.1 > 0 && s.result_files.1 > 0);
 
         let loaded = store.load_intervals(&rkey()).unwrap();
@@ -1122,31 +1011,30 @@ mod tests {
     }
 
     #[test]
-    fn fsck_sweeps_and_repairs() {
-        let store = tmp_store("fsck");
+    fn gc_sweeps_dead_locks_temps_and_damaged_shards() {
+        let store = tmp_store("gc-sweep");
         store.save_checkpoints(&key(), &sample_ff()).unwrap();
         store.save_intervals(&rkey(), &[IntervalRecord::default()]).unwrap();
         // A stale lock (dead owner), an orphan temp, a damaged shard.
         let locks = store.root().join("locks");
         std::fs::create_dir_all(&locks).unwrap();
-        std::fs::write(locks.join("x.lock"), b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
-        std::fs::write(store.root().join("rs").join(".tmp-dead"), b"x").unwrap();
+        let dead_lock = locks.join("x.lock");
+        std::fs::write(&dead_lock, b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
+        let temp = store.root().join("rs").join(".tmp-dead");
+        std::fs::write(&temp, b"x").unwrap();
         let rs_path = store.shard_path(FileKind::Results, &rkey().file_name());
         let mut bytes = std::fs::read(&rs_path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&rs_path, &bytes).unwrap();
+        assert_eq!(store.stat().stale_locks, 1);
 
-        let dry = store.fsck(false);
-        assert_eq!(dry.temps_removed, 1);
-        assert_eq!(dry.stale_locks_removed, 1);
-        assert_eq!(dry.repaired, 0);
-        assert!(rs_path.exists(), "no repair without --repair");
-
-        let fix = store.fsck(true);
-        assert_eq!(fix.repaired, 1);
-        assert!(!rs_path.exists());
-        assert!(store.load_checkpoints(&key()).is_ok(), "healthy shard untouched");
+        let gc = store.gc();
+        assert_eq!(gc.removed, 3, "damaged shard + orphan temp + dead-owner lock");
+        assert_eq!(gc.kept, 1);
+        assert!(!dead_lock.exists() && !temp.exists() && !rs_path.exists());
+        assert!(store.load_checkpoints(&key()).is_ok(), "healthy shard survives gc");
+        assert_eq!(store.stat().stale_locks, 0);
     }
 
     #[test]
@@ -1172,29 +1060,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_store_migrates_in_place_on_open() {
-        let dir = std::env::temp_dir().join("dca-store-lib-migrate");
+    fn root_level_v2_file_is_stale_until_gc() {
+        let dir = std::env::temp_dir().join("dca-store-lib-v2-root");
         std::fs::remove_dir_all(&dir).ok();
-        // Build a store in the legacy flat-v2 layout by hand.
         std::fs::create_dir_all(&dir).unwrap();
+        // What a pre-shard store left behind: a flat v2 file (magic,
+        // version 2, kind, interpreter and timing versions, …) in the
+        // store root, under the name the current key would use.
         let k = key();
-        let ff = sample_ff();
-        let header = FileHeader {
-            kind: FileKind::Checkpoints,
-            format_version: file::LEGACY_FORMAT_VERSION,
-            interp_version: dca_prog::INTERP_VERSION,
-            timing_version: 0,
-        };
-        let legacy = file::encode_file_v2(&header, &checkpoints::encode(&k, &ff));
+        let mut v2 = file::MAGIC.to_vec();
+        for word in [2, FileKind::Checkpoints.tag(), dca_prog::INTERP_VERSION, 0, 0, 0] {
+            v2.extend_from_slice(&u32::to_le_bytes(word));
+        }
         let flat = dir.join(k.file_name());
-        std::fs::write(&flat, &legacy).unwrap();
+        std::fs::write(&flat, &v2).unwrap();
 
         let store = Store::open(&dir);
-        assert!(!flat.exists(), "legacy monolith deleted after verified migration");
-        let back = store.load_checkpoints(&k).unwrap();
-        assert_eq!(back.total_insts, ff.total_insts);
-        assert_eq!(back.checkpoints.len(), ff.checkpoints.len());
-        assert_eq!(store.stat().legacy_files, 0);
+        assert_eq!(std::fs::read(&flat).unwrap(), v2, "open leaves it alone");
+        assert!(store.load_checkpoints(&k).unwrap_err().is_not_found());
+        let reports = store.verify();
+        assert_eq!(reports.len(), 1);
+        assert!(matches!(
+            reports[0].status,
+            FileStatus::StaleVersion { found: 2, expected: file::FORMAT_VERSION, .. }
+        ));
+        let s = store.stat();
+        assert_eq!(s.stale_files, 1);
+        assert_eq!(s.checkpoint_files.0, 0);
+        let gc = store.gc();
+        assert_eq!(gc.removed, 1);
+        assert_eq!(gc.freed_bytes, v2.len() as u64);
+        assert!(!flat.exists());
+        assert!(store.verify().is_empty());
     }
 
     #[test]

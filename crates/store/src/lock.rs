@@ -1,9 +1,10 @@
 //! Advisory per-shard file locks.
 //!
 //! The protocol (DESIGN.md §10): a writer creates
-//! `locks/<shard-file-name>.lock` with `O_EXCL` — the one primitive
-//! every POSIX filesystem makes atomic — holding a token of the owner
-//! pid, a timestamp and a per-process sequence number. Readers never
+//! `locks/<shard-file-name>.lock` exclusively and atomically with its
+//! content ([`crate::io::StoreIo::create_exclusive`]: a private temp
+//! hard-linked into place) — a token of the owner pid, a timestamp and
+//! a per-process sequence number. Readers never
 //! lock (shard renames are atomic, so a reader sees the old or the new
 //! shard, never a mix); writers hold the lock across the
 //! read-check/compute/write critical section so that N concurrent
@@ -184,8 +185,10 @@ pub(crate) fn try_acquire(
                         }
                     }
                     // Holder released between create and read — the
-                    // path is free now, go straight to round 2.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+                    // path is free now, go straight to round 2. Never
+                    // unlink here: a peer may already have re-created
+                    // the lock, and it is live.
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                     Err(e) => return LockAttempt::Unavailable(e.to_string()),
                 };
                 if !stale {
@@ -194,9 +197,10 @@ pub(crate) fn try_acquire(
                 // Takeover: unlink the stale lock, retry the create.
                 // Between our unlink and our create another process may
                 // do the same and win — then round 2 reports Busy,
-                // which is correct (someone *live* holds it). The
-                // unlink itself can race a concurrent takeover; losing
-                // that race is also just Busy.
+                // which is correct (someone *live* holds it). One
+                // window remains: two breakers of the *same* dead lock,
+                // where the slower unlinks the faster's fresh lock; it
+                // needs a dead owner, and costs one duplicate compute.
                 dca_obs::metrics().lock_takeovers_total.inc();
                 let _ = io.remove_file(path);
             }
@@ -315,6 +319,86 @@ mod tests {
         drop(g); // must NOT unlink the peer's lock
         assert!(p.exists());
         assert_eq!(parse(&std::fs::read(&p).unwrap()).unwrap().pid, 999999998);
+    }
+
+    /// Sees every file as already gone on read — the holder released
+    /// between a failed create and the read that follows it.
+    #[derive(Debug)]
+    struct ReadsVanished;
+
+    impl StoreIo for ReadsVanished {
+        fn read(&self, _: &Path) -> std::io::Result<Vec<u8>> {
+            Err(std::io::ErrorKind::NotFound.into())
+        }
+        fn write_all(&self, p: &Path, b: &[u8]) -> std::io::Result<()> {
+            RealIo.write_all(p, b)
+        }
+        fn create_exclusive(&self, p: &Path, b: &[u8]) -> std::io::Result<()> {
+            RealIo.create_exclusive(p, b)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, p: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(p)
+        }
+        fn create_dir_all(&self, p: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(p)
+        }
+        fn read_dir(&self, p: &Path) -> std::io::Result<Vec<(PathBuf, u64)>> {
+            RealIo.read_dir(p)
+        }
+        fn metadata(&self, p: &Path) -> std::io::Result<(u64, Option<SystemTime>)> {
+            RealIo.metadata(p)
+        }
+    }
+
+    /// The holder released and a peer re-took the lock before we read
+    /// it: the vanished read must not unlink the peer's live lock.
+    #[test]
+    fn vanished_holder_never_unlinks_a_peers_lock() {
+        let d = arena("vanished");
+        let p = d.join("s.lock");
+        let _peer = match try_acquire(&io(), &p, DEFAULT_STALE_AFTER) {
+            LockAttempt::Acquired(g) => g,
+            other => panic!("{other:?}"),
+        };
+        let racing: Arc<dyn StoreIo> = Arc::new(ReadsVanished);
+        assert!(matches!(
+            try_acquire(&racing, &p, DEFAULT_STALE_AFTER),
+            LockAttempt::Busy
+        ));
+        assert_eq!(
+            parse(&std::fs::read(&p).unwrap()).unwrap().pid,
+            std::process::id(),
+            "the peer's lock is intact"
+        );
+    }
+
+    /// Racing acquirers never hold the lock together: neither a lock
+    /// read mid-create (empty) nor a holder that vanished before the
+    /// read makes a peer's live lock look abandoned.
+    #[test]
+    fn racing_acquirers_never_hold_the_lock_together() {
+        let d = arena("race");
+        let p = d.join("s.lock");
+        let holders = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let io = io();
+                    for _ in 0..500 {
+                        if let LockAttempt::Acquired(g) = try_acquire(&io, &p, DEFAULT_STALE_AFTER) {
+                            let before = holders.fetch_add(1, Ordering::SeqCst);
+                            std::thread::yield_now();
+                            holders.fetch_sub(1, Ordering::SeqCst);
+                            drop(g);
+                            assert_eq!(before, 0, "two holders at once");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

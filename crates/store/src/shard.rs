@@ -2,11 +2,11 @@
 //!
 //! A shard is one store entry in its own file (checkpoint streams in
 //! `ck/`, result sets in `rs/`), so damage quarantines to the shard:
-//! one corrupt file costs one recompute, never the directory. The v3
-//! layout adds what the monolithic v2 container lacked for that — a
-//! header that is *itself* checksummed (a torn write inside the header
-//! is distinguishable from a foreign file), a record count, and a
-//! per-record checksum so `fsck` can say *which* record died:
+//! one corrupt file costs one recompute, never the directory. The
+//! header is *itself* checksummed (a torn write inside the header is
+//! distinguishable from a foreign file) and carries a record count, and
+//! every record has its own checksum so `verify` can say *which* record
+//! died:
 //!
 //! ```text
 //! offset  size  field
@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::file::{self, FileHeader, FileKind, fnv64, MAGIC, FORMAT_VERSION, TRAILER_BYTES};
+use crate::file::{FileHeader, FileKind, fnv64, MAGIC, FORMAT_VERSION, TRAILER_BYTES};
 use crate::io::{self, StoreIo};
 use crate::lock::pid_alive;
 use crate::StoreError;
@@ -93,13 +93,13 @@ pub fn encode_shard(header: &FileHeader, records: &[Vec<u8>]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] on structural damage;
-/// [`StoreError::Version`] when the container format is not v3 (v2
-/// monoliths land here, before any checksum check — their header had
+/// [`StoreError::Version`] when the container format is not v3 (older
+/// containers land here, before any checksum check — their header had
 /// no checksum at these offsets).
 pub fn read_shard_header(bytes: &[u8], path: &Path) -> Result<FileHeader, StoreError> {
     // Magic and format version first, before the v3 length gate: a
-    // (possibly tiny) v2 monolith must classify as a *version* problem,
-    // not corruption.
+    // (possibly tiny) older container must classify as a *version*
+    // problem, not corruption.
     if bytes.len() < 12 {
         return Err(corrupt(path, "shorter than magic + version"));
     }
@@ -206,7 +206,7 @@ fn split_records(mut rest: &[u8], path: &Path) -> Result<Vec<Vec<u8>>, StoreErro
     Ok(records)
 }
 
-/// Per-record deep check for `fsck`: walks the record region even when
+/// Per-record deep check for `verify`: walks the record region even when
 /// the whole-file checksum already failed, reporting how many records
 /// are intact and the index where damage starts (if any). Returns
 /// `(intact_records, first_bad)`.
@@ -340,97 +340,6 @@ pub fn sweep_temps(
     (removed, freed)
 }
 
-/// Outcome of one legacy-file migration attempt.
-#[derive(Debug, Default)]
-pub struct MigrateReport {
-    /// v2 monoliths successfully re-sharded (originals deleted).
-    pub migrated: u64,
-    /// Legacy files left in place (unreadable, or verification against
-    /// the old checksum failed).
-    pub skipped: u64,
-}
-
-/// Migrates flat v2 monolith files in `root` to v3 shards in
-/// `root/<kind-dir>/`. Each file is read once with the legacy decoder,
-/// re-written as a v3 shard (atomic), the new shard is read back, its
-/// records are re-encoded with the *legacy* encoder, and the resulting
-/// checksum is compared against the old file's stored trailer checksum
-/// — only on a match is the original deleted. Anything that fails
-/// verification keeps the original (and drops the new shard), so
-/// migration never loses data. Version-stale v2 content migrates
-/// as-is; `verify`/`gc` judge staleness afterwards, exactly as they
-/// would have pre-migration.
-pub fn migrate_legacy(io: &Arc<dyn StoreIo>, root: &Path) -> MigrateReport {
-    let mut report = MigrateReport::default();
-    let Ok(entries) = io.read_dir(root) else {
-        return report;
-    };
-    for (path, _) in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.starts_with(".tmp-") {
-            continue;
-        }
-        let Some(kind) = kind_of_name(name) else {
-            continue;
-        };
-        let Ok(old_bytes) = io.read(&path) else {
-            report.skipped += 1;
-            continue;
-        };
-        let Ok((header, records)) = file::read_records_v2(&old_bytes, &path) else {
-            // Corrupt or pre-v2: cannot migrate; verify/gc will report
-            // and reap it from the legacy location.
-            report.skipped += 1;
-            continue;
-        };
-        let new_header = FileHeader {
-            format_version: FORMAT_VERSION,
-            ..header
-        };
-        let dir = root.join(kind.dir());
-        if io.create_dir_all(&dir).is_err() {
-            report.skipped += 1;
-            continue;
-        }
-        let dest = dir.join(name);
-        if write_shard(io, &dest, &new_header, &records).is_err() {
-            report.skipped += 1;
-            continue;
-        }
-        // Verify the re-sharded content against the old checksum: read
-        // the new shard back, re-encode its records in the legacy
-        // container, and require the legacy trailer checksum to match
-        // the original file's.
-        let verified = io
-            .read(&dest)
-            .ok()
-            .and_then(|b| read_shard(&b, &dest).ok())
-            .map(|(h, recs)| {
-                let legacy = file::encode_file_v2(
-                    &FileHeader {
-                        format_version: file::LEGACY_FORMAT_VERSION,
-                        ..h
-                    },
-                    &recs,
-                );
-                legacy.len() == old_bytes.len()
-                    && legacy[legacy.len() - TRAILER_BYTES..]
-                        == old_bytes[old_bytes.len() - TRAILER_BYTES..]
-            })
-            .unwrap_or(false);
-        if verified {
-            let _ = io.remove_file(&path);
-            report.migrated += 1;
-        } else {
-            let _ = io.remove_file(&dest);
-            report.skipped += 1;
-        }
-    }
-    report
-}
-
 /// The shard kind a store file name implies, from its extension.
 pub fn kind_of_name(name: &str) -> Option<FileKind> {
     let ext = Path::new(name).extension()?.to_str()?;
@@ -525,17 +434,19 @@ mod tests {
 
     #[test]
     fn legacy_v2_image_is_a_version_error() {
+        // A flat v2 image: magic, version 2, kind, interpreter and
+        // timing versions, one framed record, whole-file checksum.
         let p = PathBuf::from("old.dcc");
-        let legacy = file::encode_file_v2(
-            &FileHeader {
-                format_version: file::LEGACY_FORMAT_VERSION,
-                ..header()
-            },
-            &[vec![1, 2]],
-        );
+        let mut legacy = MAGIC.to_vec();
+        for word in [2u32, FileKind::Checkpoints.tag(), 7, 0, 2] {
+            legacy.extend_from_slice(&word.to_le_bytes());
+        }
+        legacy.extend_from_slice(&[1, 2]);
+        let sum = fnv64(&legacy);
+        legacy.extend_from_slice(&sum.to_le_bytes());
         match read_shard(&legacy, &p) {
             Err(StoreError::Version { found, expected, .. }) => {
-                assert_eq!(found, file::LEGACY_FORMAT_VERSION);
+                assert_eq!(found, 2);
                 assert_eq!(expected, FORMAT_VERSION);
             }
             other => panic!("expected version error, got {other:?}"),
@@ -566,29 +477,5 @@ mod tests {
         assert!(freed > 0);
         assert!(mine.exists(), "live-pid temp kept");
         assert!(!dead.exists() && !legacy.exists());
-    }
-
-    #[test]
-    fn migration_round_trips_and_verifies() {
-        let d = arena("migrate");
-        let h = FileHeader {
-            format_version: file::LEGACY_FORMAT_VERSION,
-            ..header()
-        };
-        let records = vec![vec![5u8; 30], vec![6u8; 3]];
-        let old = file::encode_file_v2(&h, &records);
-        std::fs::write(d.join("ck_w_s_p1_m2.dcc"), &old).unwrap();
-        // A corrupt legacy file must survive migration untouched.
-        std::fs::write(d.join("ck_bad_s_p1_m2.dcc"), b"DCASTOREgarbage").unwrap();
-        let rep = migrate_legacy(&io(), &d);
-        assert_eq!(rep.migrated, 1);
-        assert_eq!(rep.skipped, 1);
-        assert!(!d.join("ck_w_s_p1_m2.dcc").exists(), "original deleted");
-        assert!(d.join("ck_bad_s_p1_m2.dcc").exists(), "corrupt original kept");
-        let dest = d.join("ck").join("ck_w_s_p1_m2.dcc");
-        let (nh, nrecs) = read_shard(&std::fs::read(&dest).unwrap(), &dest).unwrap();
-        assert_eq!(nrecs, records);
-        assert_eq!(nh.interp_version, 7);
-        assert_eq!(nh.format_version, FORMAT_VERSION);
     }
 }

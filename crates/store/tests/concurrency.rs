@@ -148,7 +148,7 @@ fn dead_owner_lock_is_taken_over() {
     }
 }
 
-/// Mixed chaos: writers, readers, verify/gc/fsck and temp-droppers all
+/// Mixed chaos: writers, readers, verify/gc and temp-droppers all
 /// at once, across several shards; nothing panics, and the directory
 /// verifies clean afterwards.
 #[test]
@@ -195,7 +195,6 @@ fn mixed_readers_writers_and_maintenance() {
                     );
                 }
                 store.gc();
-                store.fsck(false);
                 std::thread::sleep(Duration::from_millis(11));
             }
         });

@@ -306,7 +306,7 @@ fn broken_store_root_degrades_cleanly() {
 }
 
 /// An always-failing filesystem (every operation dead from op 0):
-/// open, load, save, verify, stat, gc, fsck — everything returns, with
+/// open, load, save, verify, stat, gc — everything returns, with
 /// errors where errors are due, and nothing panics.
 #[test]
 fn dead_filesystem_never_panics() {
@@ -319,7 +319,6 @@ fn dead_filesystem_never_panics() {
     assert_eq!(store.verify().len(), 0);
     store.stat();
     store.gc();
-    store.fsck(true);
     assert!(matches!(
         store.try_lock(FileKind::Checkpoints, "x.dcc"),
         dca_store::LockAttempt::Unavailable(_)
