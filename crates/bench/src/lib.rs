@@ -182,8 +182,9 @@ impl SchemeKind {
     }
 
     /// Instantiates the scheme (some need the program for offline
-    /// analysis).
+    /// analysis), inside a `steer.instantiate` span.
     pub fn instantiate(self, prog: &Program) -> Box<dyn Steering> {
+        let _span = dca_obs::span("steer", "steer.instantiate").arg("scheme", self.name());
         match self {
             SchemeKind::Naive => Box::new(Naive::new()),
             SchemeKind::Modulo => Box::new(Modulo::new()),

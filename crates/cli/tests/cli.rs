@@ -175,8 +175,9 @@ fn figures_subcommand_writes_artefacts() {
 /// The observability acceptance criteria in one end-to-end pass: the
 /// same sampled figures run with and without `--trace-out` /
 /// `--metrics-out` produces byte-identical reports; the trace is valid
-/// Chrome trace-event JSON with spans from all four layers (Lab
-/// worker, fast-forward, interval simulation, store I/O); the metrics
+/// Chrome trace-event JSON with spans from all five layers (Lab
+/// worker, fast-forward, interval simulation, scheme setup, store
+/// I/O); the metrics
 /// file is a Prometheus exposition; and the run manifest stamps the
 /// invocation.
 #[test]
@@ -249,7 +250,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
         .and_then(Json::as_array)
         .expect("traceEvents array");
     assert!(!events.is_empty(), "spans recorded");
-    for want in ["lab", "prog", "sim", "store"] {
+    for want in ["lab", "prog", "sim", "steer", "store"] {
         assert!(
             events.iter().any(|e| {
                 e.get("cat").and_then(Json::as_str) == Some(want)
@@ -258,6 +259,17 @@ fn observability_artefacts_leave_reports_byte_identical() {
             "no `{want}` span in trace"
         );
     }
+    // Scheme setup (the static analysis of §3.3) is its own span.
+    assert!(
+        events.iter().any(|e| {
+            e.get("name").and_then(Json::as_str) == Some("steer.instantiate")
+                && e.get("args")
+                    .and_then(|a| a.get("scheme"))
+                    .and_then(Json::as_str)
+                    .is_some()
+        }),
+        "no `steer.instantiate` span tagged with its scheme"
+    );
 
     // The metrics file is a Prometheus text exposition with the core
     // session counters.
