@@ -16,15 +16,16 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+mod opts;
+mod sampling;
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dca_obs::progress;
-use dca_prog::{fast_forward_with, FastForward, Program};
+use dca_prog::{fast_forward_streaming, Checkpoint, FastForward, Program};
 use dca_sim::{ContinuousWarmer, MachineDesc, SimConfig, SimStats, Simulator, Steering};
 use dca_uarch::UarchSnapshot;
 use dca_store::{CheckpointKey, FileKind, IntervalRecord, LockAttempt, ResultKey, Store, StoreError};
@@ -32,7 +33,11 @@ use dca_steer::{
     FifoSteering, GeneralBalance, Modulo, Naive, NonSliceBalance, PrioritySliceBalance,
     SliceBalance, SliceKind, SliceSteering, StaticPartition,
 };
-use dca_workloads::{Scale, Workload};
+use dca_workloads::Workload;
+
+pub use opts::{RunOpts, SampleOpts, Warming, SERVER_SIDE_FLAGS};
+pub use sampling::SampleInfo;
+use sampling::{merge_outcomes, IntervalOutcome, Pipeline, RunPlan};
 
 /// Which machine configuration a run uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -244,391 +249,9 @@ impl SchemeKind {
     }
 }
 
-/// How a sampled interval's caches and branch predictor get warm
-/// before measurement starts (DESIGN.md §9).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Warming {
-    /// Detached functional warming: each interval replays `warmup`
-    /// instructions through cold cache/predictor models before
-    /// measuring (the PR 2 behaviour). Bounded warmth — state older
-    /// than the warmup window is lost.
-    Detached,
-    /// Continuous (SMARTS-style) warming: the fast-forward pass streams
-    /// every retired instruction through live cache/predictor models
-    /// and each checkpoint carries a [`UarchSnapshot`]; intervals
-    /// restore it and execute **zero** detached-warming instructions.
-    /// The paper-scale default.
-    #[default]
-    Continuous,
-}
-
-impl Warming {
-    /// Stable machine-readable name (the `--warming` argument).
-    pub fn name(self) -> &'static str {
-        match self {
-            Warming::Detached => "detached",
-            Warming::Continuous => "continuous",
-        }
-    }
-
-    /// Parses a warming-mode name (the inverse of [`Warming::name`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the list of valid names on an unknown input.
-    pub fn from_name(name: &str) -> Result<Warming, String> {
-        Ok(match name {
-            "detached" => Warming::Detached,
-            "continuous" => Warming::Continuous,
-            other => return Err(format!("unknown warming mode `{other}` (detached|continuous)")),
-        })
-    }
-}
-
-/// Sampled-simulation parameters (DESIGN.md §7): the run's dynamic
-/// window is fast-forwarded functionally, checkpointed every `period`
-/// instructions, and each checkpoint seeds one measured interval —
-/// warmed per [`Warming`], then `interval` instructions of detailed
-/// simulation.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct SampleOpts {
-    /// Distance between interval starts, in dynamic instructions.
-    pub period: u64,
-    /// Functional-warming instructions before each measured interval.
-    /// Warming may overlap the next period — it updates only caches
-    /// and the predictor, never the merged statistics.
-    pub warmup: u64,
-    /// Detailed (measured) instructions per interval. Must not exceed
-    /// `period`, or successive measured windows would overlap and the
-    /// merged counters would multiply-count instructions.
-    pub interval: u64,
-    /// Confidence-driven early exit (DESIGN.md §8): a combination
-    /// stops drawing intervals once the 95% confidence half-width
-    /// (Student-t quantile × standard error) of its per-interval IPC
-    /// mean falls to or below this value (in IPC). The decision is
-    /// evaluated deterministically on checkpoint-ordered prefixes with
-    /// at least 2 measured intervals; the t factor keeps a lucky
-    /// 2-sample variance estimate from stopping a run prematurely.
-    /// `None` runs the full checkpoint budget.
-    pub target_stderr: Option<f64>,
-    /// Interval warming scheme. With [`Warming::Continuous`] the
-    /// `warmup` budget is irrelevant — intervals start from restored
-    /// snapshots and execute zero detached-warming instructions.
-    pub warming: Warming,
-}
-
-impl Default for SampleOpts {
-    /// 100M instructions → up to 50 intervals of 100K detailed
-    /// instructions each, continuous warming (each interval starts
-    /// from the restored steady-state snapshot of its checkpoint;
-    /// `warmup` applies only under `--warming detached`), adaptive
-    /// early exit at 0.01 IPC standard error.
-    fn default() -> SampleOpts {
-        SampleOpts {
-            period: 2_000_000,
-            warmup: 100_000,
-            interval: 100_000,
-            target_stderr: Some(0.01),
-            warming: Warming::Continuous,
-        }
-    }
-}
-
-/// Harness options (scale, instruction budget, sampling, store).
-#[derive(Clone, Debug)]
-pub struct RunOpts {
-    /// Workload scale.
-    pub scale: Scale,
-    /// Instruction budget per run (the paper's "100M after skipping
-    /// 100M" becomes "everything the workload executes, capped here").
-    pub max_insts: u64,
-    /// Print progress lines to stderr.
-    pub verbose: bool,
-    /// When set, every [`Lab`] run is simulated by checkpointed
-    /// sampling instead of one straight detailed pass.
-    pub sampling: Option<SampleOpts>,
-    /// Directory of the persistent checkpoint/result store
-    /// (`dca-store`; DESIGN.md §8). `None` disables persistence.
-    /// Sampled CLI invocations default to `.dca-store` unless
-    /// `--no-store` is given; the library default is off.
-    pub store_dir: Option<PathBuf>,
-    /// Warm steering decode-time state (slice tables) during the
-    /// functional warming of every sampled interval
-    /// (`--warm-steering`; ROADMAP "steering-state warm-up").
-    pub warm_steering: bool,
-    /// How long the Lab waits for another process's shard lock before
-    /// degrading to storeless computation (`--lock-wait-secs`; `None`
-    /// keeps the store default of 120 s). CI and tests set this low so
-    /// a wedged peer cannot stall a run for minutes.
-    pub lock_wait_secs: Option<u64>,
-    /// Staleness threshold for the store's lock-takeover and
-    /// orphaned-temp sweeps (`--stale-secs`; `None` keeps the shared
-    /// default of [`dca_store::lock::DEFAULT_STALE_AFTER`], 600 s).
-    /// One knob for both, so the two ages cannot drift apart.
-    pub stale_secs: Option<u64>,
-    /// Suppress progress lines (`-q`/`--quiet`); warnings still print.
-    pub quiet: bool,
-    /// Write this invocation's spans as Chrome trace-event JSON here
-    /// (`--trace-out`). Enables span recording.
-    pub trace_out: Option<PathBuf>,
-    /// Write a Prometheus text exposition of the metrics registry here
-    /// (`--metrics-out`).
-    pub metrics_out: Option<PathBuf>,
-}
-
-impl Default for RunOpts {
-    fn default() -> RunOpts {
-        RunOpts {
-            scale: Scale::Default,
-            max_insts: 5_000_000,
-            verbose: false,
-            sampling: None,
-            store_dir: None,
-            warm_steering: false,
-            lock_wait_secs: None,
-            stale_secs: None,
-            quiet: false,
-            trace_out: None,
-            metrics_out: None,
-        }
-    }
-}
-
-/// Flags of the [`RunOpts::parse`] grammar that configure the
-/// *process* — persistence placement, lock patience, observability
-/// sinks, verbosity — rather than the simulation. A serve daemon
-/// refuses them on the wire (they belong to whoever started the
-/// daemon), and both serve fronts share this one table so the
-/// refusal list cannot drift from the parser. Each entry is
-/// `(flag, takes_value)`.
-pub const SERVER_SIDE_FLAGS: &[(&str, bool)] = &[
-    ("--store-dir", true),
-    ("--no-store", false),
-    ("--lock-wait-secs", true),
-    ("--stale-secs", true),
-    ("--trace-out", true),
-    ("--metrics-out", true),
-    ("--verbose", false),
-    ("--quiet", false),
-    ("-q", false),
-];
-
-impl RunOpts {
-    /// Parses harness options from command-line arguments
-    /// (`--scale smoke|default|full|paper`, `--max-insts N`,
-    /// `--sample-period N`, `--sample-warmup N`, `--sample-interval N`,
-    /// `--target-stderr X`, `--warming detached|continuous`,
-    /// `--store-dir DIR`, `--no-store`, `--lock-wait-secs N`,
-    /// `--stale-secs N`,
-    /// `--warm-steering`, `--verbose`, `-q`/`--quiet`,
-    /// `--trace-out FILE`, `--metrics-out FILE`). Unrecognised
-    /// arguments are returned for the caller.
-    ///
-    /// `--scale paper` selects [`Scale::Paper`], widens the default
-    /// instruction budget to the paper's 100M window and turns on
-    /// sampling with the [`SampleOpts`] defaults; the `--sample-*` and
-    /// `--target-stderr` flags tune (or, at other scales, enable)
-    /// sampling explicitly (`--target-stderr 0` disables the adaptive
-    /// early exit). Sampled invocations use the persistent store at
-    /// `.dca-store` unless `--store-dir` chooses another directory or
-    /// `--no-store` disables it.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the flag on a missing or malformed value
-    /// (unknown scale, non-numeric instruction budget, zero sampling
-    /// period).
-    pub fn parse(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<(RunOpts, Vec<String>), String> {
-        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        }
-        fn number<T: std::str::FromStr>(
-            args: &mut impl Iterator<Item = String>,
-            flag: &str,
-        ) -> Result<T, String> {
-            let v = value(args, flag)?;
-            v.parse()
-                .map_err(|_| format!("{flag} needs a number, got `{v}`"))
-        }
-        let mut opts = RunOpts::default();
-        let mut rest = Vec::new();
-        let mut args = args.into_iter();
-        let mut explicit_max = false;
-        let mut no_store = false;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--scale" => {
-                    opts.scale =
-                        Scale::from_name(&value(&mut args, &a)?).map_err(|e| format!("{a}: {e}"))?;
-                }
-                "--max-insts" => {
-                    opts.max_insts = number(&mut args, &a)?;
-                    explicit_max = true;
-                }
-                "--sample-period" | "--sample-warmup" | "--sample-interval" => {
-                    let v: u64 = number(&mut args, &a)?;
-                    if v == 0 && a != "--sample-warmup" {
-                        return Err(format!("{a} must be non-zero"));
-                    }
-                    let s = opts.sampling.get_or_insert_with(SampleOpts::default);
-                    match a.as_str() {
-                        "--sample-period" => s.period = v,
-                        "--sample-warmup" => s.warmup = v,
-                        _ => s.interval = v,
-                    }
-                }
-                "--target-stderr" => {
-                    let v: f64 = number(&mut args, &a)?;
-                    if v.is_nan() || v < 0.0 {
-                        return Err(format!("{a} must be non-negative (IPC; 0 disables)"));
-                    }
-                    let s = opts.sampling.get_or_insert_with(SampleOpts::default);
-                    s.target_stderr = (v > 0.0).then_some(v);
-                }
-                "--warming" => {
-                    let w = Warming::from_name(&value(&mut args, &a)?)
-                        .map_err(|e| format!("{a}: {e}"))?;
-                    opts.sampling.get_or_insert_with(SampleOpts::default).warming = w;
-                }
-                "--store-dir" => opts.store_dir = Some(PathBuf::from(value(&mut args, &a)?)),
-                "--lock-wait-secs" => opts.lock_wait_secs = Some(number(&mut args, &a)?),
-                "--stale-secs" => opts.stale_secs = Some(number(&mut args, &a)?),
-                "--no-store" => no_store = true,
-                "--warm-steering" => opts.warm_steering = true,
-                "--verbose" => opts.verbose = true,
-                "--quiet" | "-q" => opts.quiet = true,
-                "--trace-out" => opts.trace_out = Some(PathBuf::from(value(&mut args, &a)?)),
-                "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value(&mut args, &a)?)),
-                _ => rest.push(a),
-            }
-        }
-        if opts.scale == Scale::Paper {
-            if !explicit_max {
-                opts.max_insts = Scale::PAPER_INSTS;
-            }
-            let _ = opts.sampling.get_or_insert_with(SampleOpts::default);
-        }
-        if no_store {
-            opts.store_dir = None;
-        } else if opts.store_dir.is_none() && opts.sampling.is_some() {
-            opts.store_dir = Some(PathBuf::from(".dca-store"));
-        }
-        Ok((opts, rest))
-    }
-
-    /// [`RunOpts::parse`] for callers that treat a malformed value as
-    /// a bug; kept with this signature for the standalone benchmark
-    /// replay (`perfbench/replay`), which links it.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`RunOpts::parse`]'s message on a malformed value.
-    pub fn from_args(args: impl Iterator<Item = String>) -> (RunOpts, Vec<String>) {
-        Self::parse(args).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Applies the observability options process-wide: the progress
-    /// sink's verbosity and span recording. CLI entry points call this
-    /// once, before any work; library users who never call it keep the
-    /// defaults (normal verbosity, tracing off).
-    pub fn apply_observability(&self) {
-        dca_obs::progress::set_verbosity(if self.quiet {
-            dca_obs::Verbosity::Quiet
-        } else if self.verbose {
-            dca_obs::Verbosity::Verbose
-        } else {
-            dca_obs::Verbosity::Normal
-        });
-        if self.trace_out.is_some() {
-            dca_obs::span::set_enabled(true);
-        }
-    }
-
-    /// Writes the requested observability artefacts — the Chrome
-    /// trace-event JSON (`--trace-out`) and the Prometheus metrics
-    /// exposition (`--metrics-out`). Called once at the end of a CLI
-    /// invocation; a no-op when neither flag was given. Strictly
-    /// separate from `results/` report bytes.
-    pub fn write_observability(&self) {
-        fn write_artefact(path: &Path, what: &str, bytes: &str) {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(path, bytes) {
-                Ok(()) => dca_obs::progress::info(format!("[lab] wrote {}", path.display())),
-                Err(e) => {
-                    dca_obs::progress::warn(format!(
-                        "[lab] could not write {what} {}: {e}",
-                        path.display()
-                    ));
-                }
-            }
-        }
-        if let Some(path) = &self.trace_out {
-            let events = dca_obs::span::drain();
-            write_artefact(path, "trace", &dca_obs::span::chrome_trace(&events));
-        }
-        if let Some(path) = &self.metrics_out {
-            write_artefact(path, "metrics", &dca_obs::metrics().snapshot().prometheus());
-        }
-    }
-}
-
 /// One simulation request: `(benchmark, machine, scheme)` — the unit
 /// of work [`Lab::ensure`] distributes across worker threads.
 pub type Run = (&'static str, Machine, SchemeKind);
-
-/// Diagnostics of one sampled run (per `(benchmark, machine, scheme)`
-/// combination): interval count, measured volume and the dispersion of
-/// the per-interval IPCs.
-#[derive(Clone, Debug, Default)]
-pub struct SampleInfo {
-    /// Measured intervals merged into the reported statistics.
-    pub intervals: u64,
-    /// Checkpoints available to this combination (the full interval
-    /// budget; `intervals < budget` when the adaptive early exit
-    /// stopped first or trailing intervals were empty).
-    pub budget: u64,
-    /// `true` when the confidence-driven early exit stopped the
-    /// combination before its checkpoint budget was exhausted.
-    pub early_stop: bool,
-    /// Intervals of the merged prefix that were served from the
-    /// persistent store instead of being simulated in this process.
-    pub from_store: u64,
-    /// Outcomes of the merged prefix (measured or empty) that started
-    /// from a restored continuously-warmed [`UarchSnapshot`] — covers
-    /// every merged interval (and pairs with `warmed_insts == 0`)
-    /// under [`Warming::Continuous`], 0 under [`Warming::Detached`].
-    pub restored_snapshots: u64,
-    /// Detailed (measured) dynamic instructions across all intervals.
-    pub detailed_insts: u64,
-    /// Detailed cycles across all intervals.
-    pub detailed_cycles: u64,
-    /// Mean of the per-interval IPCs.
-    pub ipc_mean: f64,
-    /// Standard error of that mean (0 with fewer than two intervals).
-    pub ipc_stderr: f64,
-    /// Functional-warming instructions actually executed (can be less
-    /// than `intervals × warmup` where the stream ended mid-warming).
-    pub warmed_insts: u64,
-    /// Wall-clock seconds spent functionally warming, summed over the
-    /// workers that ran this combination's intervals (0 for
-    /// store-served intervals).
-    pub warm_secs: f64,
-    /// Wall-clock seconds spent in detailed simulation, summed over
-    /// workers (≈ the serial cost of the measured intervals; 0 for
-    /// store-served intervals).
-    pub detailed_secs: f64,
-}
-
-impl SampleInfo {
-    /// The sampled-IPC estimate as `mean ± stderr` text.
-    pub fn ipc_text(&self) -> String {
-        format!("{:.3} ± {:.3}", self.ipc_mean, self.ipc_stderr)
-    }
-}
 
 /// Diagnostics of one benchmark's functional fast-forward pass.
 #[derive(Clone, Debug)]
@@ -659,132 +282,6 @@ impl FastForwardInfo {
     }
 }
 
-/// Intervals requested per combination per adaptive scheduling round.
-/// Small enough that an early-stopping combination wastes at most a
-/// chunk of intervals, large enough that a 50-interval budget needs
-/// only a handful of rounds.
-const INTERVAL_CHUNK: usize = 8;
-
-/// One interval of a sampled run: its detailed statistics plus
-/// bookkeeping. Store-served intervals carry zero wall-clock.
-#[derive(Clone, Debug)]
-struct IntervalOutcome {
-    stats: SimStats,
-    /// Detached functional-warming instructions actually executed
-    /// (always 0 under continuous warming).
-    warmed: u64,
-    /// Whether the interval started from a restored [`UarchSnapshot`].
-    restored: bool,
-    warm_secs: f64,
-    detailed_secs: f64,
-    from_store: bool,
-}
-
-/// Standard error of the mean of `xs` (0 with fewer than two samples).
-fn stderr_of(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (var / n).sqrt()
-}
-
-/// Two-sided 95% Student-t quantiles by degrees of freedom (index =
-/// df − 1); beyond the table the normal quantile is close enough.
-const T95: [f64; 30] = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-    2.052, 2.048, 2.045, 2.042,
-];
-
-/// 95% confidence half-width of the mean of `xs`: Student-t quantile ×
-/// standard error. The t factor is what keeps a lucky 2-sample
-/// variance estimate from stopping a combination prematurely (t₁ ≈
-/// 12.7); infinite below two samples.
-fn confidence_half_width(xs: &[f64]) -> f64 {
-    match xs.len() {
-        0 | 1 => f64::INFINITY,
-        n if n - 1 <= T95.len() => T95[n - 2] * stderr_of(xs),
-        _ => 1.96 * stderr_of(xs),
-    }
-}
-
-/// The deterministic early-exit rule of adaptive sampling (DESIGN.md
-/// §8): the prefix used for a combination is the **shortest
-/// checkpoint-ordered prefix** containing at least 2 measured
-/// (non-empty) intervals whose 95% confidence half-width
-/// ([`confidence_half_width`]) is ≤ `target`; without such a prefix,
-/// the full budget.
-///
-/// Returns `Some(prefix_len)` once the decision is possible from the
-/// available prefix — either the rule fired, or all `budget` intervals
-/// are present — and `None` when more intervals are needed. Because
-/// the rule scans prefixes from the front, its answer never changes
-/// when *more* intervals become available beyond the stopping point:
-/// the merged statistics are independent of worker completion order,
-/// chunk sizes, and how many extra intervals a previous run left in
-/// the store.
-fn adaptive_prefix(
-    outcomes: &[IntervalOutcome],
-    budget: usize,
-    target: Option<f64>,
-) -> Option<usize> {
-    if let Some(target) = target {
-        let mut ipcs: Vec<f64> = Vec::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            if o.stats.committed == 0 {
-                continue;
-            }
-            ipcs.push(o.stats.ipc());
-            if ipcs.len() >= 2 && confidence_half_width(&ipcs) <= target {
-                return Some(i + 1);
-            }
-        }
-    }
-    (outcomes.len() >= budget).then_some(budget)
-}
-
-/// Merges the decided prefix `outcomes[..used]` into one `SimStats`
-/// plus sampling diagnostics. Checkpoints whose stream ended before
-/// the measured window opened contribute warming cost but no
-/// statistics, exactly as in the non-adaptive harness.
-fn merge_outcomes(outcomes: &[IntervalOutcome], used: usize, budget: u64) -> (SimStats, SampleInfo) {
-    let mut merged = SimStats::default();
-    let mut info = SampleInfo {
-        budget,
-        early_stop: (used as u64) < budget,
-        ..SampleInfo::default()
-    };
-    let mut ipcs: Vec<f64> = Vec::new();
-    for o in &outcomes[..used] {
-        info.warmed_insts += o.warmed;
-        info.warm_secs += o.warm_secs;
-        if o.from_store {
-            info.from_store += 1;
-        }
-        if o.restored {
-            info.restored_snapshots += 1;
-        }
-        if o.stats.committed == 0 {
-            continue;
-        }
-        ipcs.push(o.stats.ipc());
-        merged.merge(&o.stats);
-        info.intervals += 1;
-        info.detailed_insts += o.stats.committed;
-        info.detailed_cycles += o.stats.cycles;
-        info.detailed_secs += o.detailed_secs;
-    }
-    let n = ipcs.len() as f64;
-    if n > 0.0 {
-        info.ipc_mean = ipcs.iter().sum::<f64>() / n;
-    }
-    info.ipc_stderr = stderr_of(&ipcs);
-    (merged, info)
-}
-
 /// Memoising experiment driver: builds workloads once and simulates
 /// each (benchmark, machine, scheme) combination at most once.
 ///
@@ -797,9 +294,9 @@ fn merge_outcomes(outcomes: &[IntervalOutcome], used: usize, budget: u64) -> (Si
 /// With [`RunOpts::sampling`] set, a run is no longer the unit of
 /// parallel work: each combination's dynamic window is fast-forwarded
 /// once per benchmark (checkpointing every `period` instructions) and
-/// the **sample intervals** of all requested combinations are fanned
-/// across the same worker pool, then merged per combination in
-/// checkpoint order (deterministic). This is what makes
+/// the **sample intervals** of all requested combinations run on the
+/// same worker pool as soon as their checkpoints exist, then merge per
+/// combination in checkpoint order (deterministic). This is what makes
 /// `figures --scale paper` — 100M instructions per benchmark — run in
 /// minutes instead of hours.
 ///
@@ -837,10 +334,10 @@ pub struct Lab {
     /// Persistent checkpoint/result store ([`RunOpts::store_dir`]).
     store: Option<Store>,
     /// Cooperative cancellation token ([`Lab::set_cancel`]): checked
-    /// between chunk-scheduling rounds, never mid-interval.
+    /// before each chunk of intervals is queued, never mid-interval.
     cancel: Option<Arc<AtomicBool>>,
-    /// Per-round progress callback ([`Lab::set_round_hook`]): invoked
-    /// on the driving thread before each sampling round fans out.
+    /// Per-chunk progress callback ([`Lab::set_round_hook`]): invoked
+    /// each time a chunk of sample intervals is queued.
     round_hook: Option<RoundHook>,
     /// Work attribution tally ([`Lab::work`]). Shared (same `Arc`)
     /// with labs that [`Lab::adopt_from`] this one, so side
@@ -894,24 +391,26 @@ impl WorkCounts {
     }
 }
 
-/// A per-round progress callback (see [`Lab::set_round_hook`]).
+/// A per-chunk progress callback (see [`Lab::set_round_hook`]).
 pub type RoundHook = Box<dyn Fn(&RoundProgress) + Send>;
 
-/// What [`Lab::ensure`] is about to do in one chunk-scheduling round,
-/// handed to the hook installed with [`Lab::set_round_hook`] — the
-/// attachment point for live progress streaming (`dca serve` forwards
-/// these, plus the insts/sec gauges, to its subscribed clients).
+/// What [`Lab::ensure`] just queued — one combination's next chunk of
+/// sample intervals — handed to the hook installed with
+/// [`Lab::set_round_hook`]: the attachment point for live progress
+/// streaming (`dca serve` forwards these, plus the insts/sec gauges,
+/// to its subscribed clients).
 #[derive(Clone, Copy, Debug)]
 pub struct RoundProgress {
-    /// Scheduling round number, starting at 1.
+    /// Chunks queued so far in this ensure, starting at 1.
     pub round: u64,
-    /// Intervals fanning out in this round.
+    /// Intervals in this chunk.
     pub batch: u64,
-    /// Worst-case intervals still to simulate after this round's batch
-    /// was drawn (every undecided run exhausts its budget).
+    /// Worst-case intervals still to simulate, this chunk included
+    /// (every undecided run exhausts its budget).
     pub remaining: u64,
-    /// Live sampling throughput, milli-intervals per second (the
-    /// `intervals_per_sec_milli` gauge; 0 until the first round lands).
+    /// Live sampling throughput, milli-intervals per second of
+    /// pipeline wall-clock (the `intervals_per_sec_milli` gauge; 0
+    /// until the first interval lands).
     pub intervals_per_sec_milli: u64,
 }
 
@@ -960,9 +459,10 @@ impl Lab {
 
     /// Installs a cooperative cancellation token (`None` clears it).
     ///
-    /// [`Lab::ensure`] checks the token between chunk-scheduling
-    /// rounds — the natural preemption points of the sampled driver —
-    /// and stops scheduling further work once it is set. Cancellation
+    /// [`Lab::ensure`] checks the token before queuing each chunk of
+    /// sample intervals — the natural preemption points of the sampled
+    /// driver — and stops scheduling further work once it is set
+    /// (a fast-forward already under way still completes). Cancellation
     /// is *total*, like store degradation: every requested combination
     /// still receives an entry (merged from whatever contiguous prefix
     /// of intervals finished in time, possibly empty), so no caller
@@ -982,10 +482,11 @@ impl Lab {
             .is_some_and(|t| t.load(std::sync::atomic::Ordering::Relaxed))
     }
 
-    /// Installs a per-round progress hook (`None` clears it): called
-    /// on the driving thread just before each sampling round fans out,
-    /// with the round's [`RoundProgress`]. `dca serve` uses this to
-    /// stream progress events to its clients.
+    /// Installs a per-chunk progress hook (`None` clears it): called
+    /// each time a chunk of sample intervals is queued — on the driving
+    /// thread for first chunks, on a worker for later ones — with the
+    /// chunk's [`RoundProgress`]. `dca serve` uses this to stream
+    /// progress events to its clients.
     pub fn set_round_hook(&mut self, hook: Option<RoundHook>) {
         self.round_hook = hook;
     }
@@ -1273,10 +774,17 @@ impl Lab {
     /// into the memoisation cache after the join, so subsequent
     /// [`Lab::stats`] calls are pure lookups.
     ///
-    /// In sampled mode ([`RunOpts::sampling`]) the unit of parallel
-    /// work is one *sample interval*, not one run; see
-    /// [`Lab::ensure_sampled`].
+    /// In sampled mode ([`RunOpts::sampling`]) the units of parallel
+    /// work are one fast-forward per benchmark and one *sample
+    /// interval*, not one run; see [`Lab::ensure_sampled`].
     pub fn ensure(&mut self, runs: &[(&str, Machine, SchemeKind)]) {
+        self.ensure_on(runs, None);
+    }
+
+    /// [`Lab::ensure`] with a fixed number of sampling workers (`None`:
+    /// a claim on the process-wide budget), so tests can drive the
+    /// interval pipeline at any width.
+    fn ensure_on(&mut self, runs: &[(&str, Machine, SchemeKind)], workers: Option<usize>) {
         // Distinct missing combinations, first-seen order.
         let mut todo: Vec<Run> = Vec::new();
         for &(bench, machine, scheme) in runs {
@@ -1305,7 +813,7 @@ impl Lab {
         self.build_workloads(&benches);
 
         if let Some(sampling) = self.opts.sampling {
-            self.ensure_sampled(&todo, sampling);
+            self.ensure_sampled(&todo, sampling, workers);
             return;
         }
         progress::detail(format!(
@@ -1327,22 +835,27 @@ impl Lab {
         self.cache.extend(results);
     }
 
-    /// Sampled-mode batch driver: obtains each distinct benchmark's
-    /// checkpoint stream — from the persistent store when one is
-    /// configured and holds a current entry, otherwise by
-    /// fast-forwarding once (and saving) — then schedules the sample
-    /// intervals of every missing combination across the worker pool.
+    /// Sampled-mode batch driver: one produce → schedule → merge
+    /// [`Pipeline`] over every missing combination, on one worker pool.
+    ///
+    /// Each distinct benchmark without a checkpoint stream becomes a
+    /// producer task, taken before any interval: it loads the stream
+    /// from the persistent store when one holds a current entry (and
+    /// publishes it at once), or fast-forwards, publishing each
+    /// checkpoint the moment it is taken, and saves the stream after.
+    /// Interval *k* starts as soon as checkpoint *k* exists, so the
+    /// fast-forward overlaps the detailed simulation.
     ///
     /// With [`SampleOpts::target_stderr`] set, intervals are drawn in
     /// checkpoint-order **chunks** per combination and a combination
     /// stops as soon as the deterministic prefix rule
-    /// ([`adaptive_prefix`]) fires — so a low-variance combination
-    /// costs a handful of intervals, not the full budget. The rule is
-    /// evaluated on checkpoint-ordered prefixes only, which makes the
-    /// merged statistics (and every artefact rendered from them)
-    /// independent of worker completion order and of whether intervals
-    /// came from the store or from fresh simulation.
-    fn ensure_sampled(&mut self, todo: &[Run], sampling: SampleOpts) {
+    /// (`sampling::adaptive_prefix`) fires — so a low-variance
+    /// combination costs a handful of intervals, not the full budget.
+    /// The rule is evaluated on checkpoint-ordered prefixes only, which
+    /// makes the merged statistics (and every artefact rendered from
+    /// them) independent of worker count, completion order and of
+    /// whether intervals came from the store or from fresh simulation.
+    fn ensure_sampled(&mut self, todo: &[Run], sampling: SampleOpts, workers: Option<usize>) {
         assert!(
             sampling.interval <= sampling.period,
             "sample interval ({}) exceeds the checkpoint period ({}): successive \
@@ -1379,130 +892,48 @@ impl Lab {
                 fingerprints.entry(bench).or_insert_with(|| w.fingerprint());
             }
         }
+        let names: Vec<(String, String)> =
+            todo.iter().map(|&(_, m, s)| (m.key(), s.key())).collect();
+        let result_key = |i: usize| ResultKey {
+            workload: todo[i].0,
+            scale,
+            machine: &names[i].0,
+            geometry: cfgs[i].config_hash(),
+            scheme: &names[i].1,
+            period: sampling.period,
+            warmup: key_warmup,
+            interval: sampling.interval,
+            max_insts,
+            warm_steering,
+            continuous_warming: continuous,
+            fingerprint: fingerprints[todo[i].0],
+        };
 
-        // Checkpoint streams for benchmarks not yet fast-forwarded:
-        // consult the store first (a shorter window may be served from
-        // the prefix of a longer stored stream — cross-scale reuse,
-        // DESIGN.md §9), recompute (and save) on a miss. The pass
-        // always streams through a [`ContinuousWarmer`], so every
-        // stream carries per-checkpoint `UarchSnapshot`s whichever
-        // warming mode this invocation uses — both modes then share
-        // one stream file per benchmark. All machine presets share the
-        // Table 2 front end, so one warmed stream serves them all.
-        let mut missing: Vec<&'static str> = Vec::new();
+        // One checkpoint feed per distinct benchmark: the stream this
+        // lab already holds, or a producer task. No stream can hold
+        // more than `max_budget` checkpoints; the real count is known
+        // once its producer returns (a program may halt early).
+        let mut benches: Vec<&'static str> = Vec::new();
         for &(bench, _, _) in todo {
-            if !self.ffs.contains_key(bench) && !missing.contains(&bench) {
-                missing.push(bench);
+            if !benches.contains(&bench) {
+                benches.push(bench);
             }
         }
-        if !missing.is_empty() {
-            let _ff_span = dca_obs::span("lab", "lab.fast_forward_phase")
-                .arg("benchmarks", missing.len());
-            progress::detail(format!(
-                "[lab] fast-forwarding {} benchmark(s) ({} insts, checkpoint every {})",
-                missing.len(),
-                max_insts,
-                sampling.period
-            ));
-            let workloads = &self.workloads;
-            let store = self.store.as_ref();
-            let fps = &fingerprints;
-            let passes = Self::fan_out(&missing, |&bench| {
-                let w = &workloads[bench];
-                let key = store.map(|_| CheckpointKey {
-                    workload: bench,
-                    scale,
-                    period: sampling.period,
-                    max_insts,
-                    fingerprint: fps[bench],
-                    uarch: warm_uarch,
-                });
-                let t0 = Instant::now();
-                let compute = || {
-                    let mut hook = ContinuousWarmer::new(&SimConfig::default());
-                    fast_forward_with(
-                        &w.program,
-                        w.memory.clone(),
-                        sampling.period,
-                        max_insts,
-                        &mut hook,
-                    )
-                };
-                let (ff, from_store) = match (store, key.as_ref()) {
-                    // Shared store: elect one computer per stream shard
-                    // (first-writer-wins) so N concurrent labs on one
-                    // `--store-dir` fast-forward each benchmark once.
-                    (Some(store), Some(key)) => Self::locked_fetch_or_compute(
-                        store,
-                        &key.file_name(),
-                        &format!("checkpoints for {bench}"),
-                        || store.load_checkpoints_covering(key),
-                        compute,
-                        |ff| store.save_checkpoints(key, ff).map(|_| ()),
-                    ),
-                    _ => (compute(), false), // no store configured
-                };
-                (bench, ff, t0.elapsed().as_secs_f64(), from_store)
-            });
-            let (mut ff_executed, mut ff_secs) = (0u64, 0.0f64);
-            for (bench, ff, secs, from_store) in passes {
-                let info = FastForwardInfo {
-                    insts: ff.total_insts,
-                    checkpoints: ff.checkpoints.len() as u64,
-                    secs,
-                    from_store,
-                };
-                ff_executed += info.executed_insts();
-                ff_secs += secs;
-                self.ff_info.insert(bench, info);
-                self.ffs.insert(bench, ff);
-            }
-            self.tally.ff_insts.fetch_add(ff_executed, Ordering::Relaxed);
-            if ff_executed > 0 && ff_secs > 0.0 {
-                dca_obs::metrics()
-                    .ff_insts_per_sec
-                    .set((ff_executed as f64 / ff_secs) as u64);
-            }
-        }
+        let max_budget = usize::try_from(max_insts.div_ceil(sampling.period).max(1))
+            .unwrap_or(usize::MAX);
 
-        // Per-run interval state, prefilled from the store. Outcomes
-        // always form a contiguous checkpoint-order prefix.
-        struct RunState {
-            outcomes: Vec<IntervalOutcome>,
-            /// Decided prefix length, once the rule fires.
-            used: Option<usize>,
-            /// Outcomes that came from the store (a prefix).
-            prefilled: usize,
-        }
-        let budgets: Vec<usize> = todo
-            .iter()
-            .map(|&(bench, _, _)| self.ffs[bench].checkpoints.len())
-            .collect();
-        let mut states: Vec<RunState> = Vec::with_capacity(todo.len());
-        for (i, &(bench, machine, scheme)) in todo.iter().enumerate() {
+        // Per-run interval prefixes, prefilled from the store.
+        let mut plans: Vec<RunPlan> = Vec::with_capacity(todo.len());
+        let mut prefilled: Vec<usize> = Vec::with_capacity(todo.len());
+        for (i, &(bench, _, _)) in todo.iter().enumerate() {
             let mut outcomes: Vec<IntervalOutcome> = Vec::new();
             if let Some(store) = &self.store {
-                let scheme_key = scheme.key();
-                let machine_key = machine.key();
-                let key = ResultKey {
-                    workload: bench,
-                    scale,
-                    machine: &machine_key,
-                    geometry: cfgs[i].config_hash(),
-                    scheme: &scheme_key,
-                    period: sampling.period,
-                    warmup: key_warmup,
-                    interval: sampling.interval,
-                    max_insts,
-                    warm_steering,
-                    continuous_warming: continuous,
-                    fingerprint: fingerprints[bench],
-                };
-                match store.load_intervals(&key) {
+                let budget = self.ffs.get(bench).map_or(max_budget, |ff| ff.checkpoints.len());
+                match store.load_intervals(&result_key(i)) {
                     Ok(records) => {
                         outcomes = records
                             .into_iter()
-                            .take(budgets[i])
+                            .take(budget)
                             .map(|r| IntervalOutcome {
                                 stats: r.stats,
                                 warmed: r.warmed_insts,
@@ -1528,85 +959,104 @@ impl Lab {
                     }
                 }
             }
-            let used = adaptive_prefix(&outcomes, budgets[i], sampling.target_stderr);
-            states.push(RunState {
-                prefilled: outcomes.len(),
-                outcomes,
-                used,
+            prefilled.push(outcomes.len());
+            plans.push(RunPlan {
+                feed: benches.iter().position(|&b| b == bench).expect("listed above"),
+                prefilled: outcomes,
             });
         }
 
-        // Chunked scheduling rounds: every undecided run contributes
-        // its next chunk of checkpoint indices; all chunks of a round
-        // fan out together. Without a stderr target a run's first
-        // chunk is its whole budget (no adaptivity — one round).
-        let mut round = 0u64;
-        loop {
-            // Round boundaries are the cancellation points: a set
-            // token freezes every undecided run at its contiguous
-            // prefix (possibly empty) so the merge below stays total.
-            if self.cancelled() {
-                for st in states.iter_mut() {
-                    if st.used.is_none() {
-                        st.used = Some(st.outcomes.len());
-                    }
-                }
-                progress::warn("[lab] sampling cancelled; merging completed prefixes");
-                break;
-            }
-            let mut batch: Vec<(usize, usize)> = Vec::new();
-            for (i, st) in states.iter().enumerate() {
-                if st.used.is_some() {
-                    continue;
-                }
-                let have = st.outcomes.len();
-                let until = if sampling.target_stderr.is_some() {
-                    (have + INTERVAL_CHUNK).min(budgets[i])
-                } else {
-                    budgets[i]
-                };
-                batch.extend((have..until).map(|idx| (i, idx)));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            // Worst-case work remaining (every undecided run exhausts
-            // its budget), for the ETA off the live intervals/sec rate.
-            let remaining: u64 = states
-                .iter()
-                .zip(&budgets)
-                .filter(|(st, _)| st.used.is_none())
-                .map(|(st, &b)| (b - st.outcomes.len()) as u64)
-                .sum();
-            progress::detail(format!(
-                "[lab] sampling round: {} intervals ({} worst-case, {})",
-                batch.len(),
-                remaining,
-                progress::eta(
-                    remaining,
-                    dca_obs::metrics().intervals_per_sec_milli.get()
-                )
-            ));
-            round += 1;
-            if let Some(hook) = &self.round_hook {
-                hook(&RoundProgress {
-                    round,
-                    batch: batch.len() as u64,
-                    remaining,
-                    intervals_per_sec_milli: dca_obs::metrics().intervals_per_sec_milli.get(),
+        let feeds: Vec<Option<&[Checkpoint]>> = benches
+            .iter()
+            .map(|b| self.ffs.get(b).map(|ff| ff.checkpoints.as_slice()))
+            .collect();
+        let pipeline = Pipeline::new(
+            feeds,
+            plans,
+            max_budget,
+            sampling.target_stderr,
+            self.cancel.as_deref(),
+            self.round_hook.as_mut(),
+        );
+        // One claim on the worker budget for the whole pipeline,
+        // returned when `claim` drops (also on unwind).
+        let pending = pipeline.pending_tasks();
+        let desired = workers.unwrap_or_else(|| default_parallelism().min(pending));
+        let claim = (workers.is_none() && desired > 1).then(|| WorkerClaim::take(desired));
+        let workers = claim.as_ref().map_or(desired, |c| c.workers);
+        if pending > 0 {
+            dca_obs::metrics().lab_workers.set(workers as u64);
+        }
+
+        let workloads = &self.workloads;
+        let store = self.store.as_ref();
+        let tally = &self.tally;
+        let out = pipeline.run(
+            workers,
+            |f, publisher| {
+                let bench = benches[f];
+                let _span = dca_obs::span("lab", "lab.fast_forward").arg("bench", bench);
+                progress::detail(format!(
+                    "[lab] fast-forwarding {bench} ({max_insts} insts, checkpoint every {})",
+                    sampling.period
+                ));
+                let w = &workloads[bench];
+                let key = store.map(|_| CheckpointKey {
+                    workload: bench,
+                    scale,
+                    period: sampling.period,
+                    max_insts,
+                    fingerprint: fingerprints[bench],
+                    uarch: warm_uarch,
                 });
-            }
-            let round_t0 = Instant::now();
-            let workloads = &self.workloads;
-            let ffs = &self.ffs;
-            let tally = &self.tally;
-            let results = Self::fan_out(&batch, |&(i, idx)| {
+                let t0 = Instant::now();
+                // The pass always streams through a [`ContinuousWarmer`],
+                // so every stream carries per-checkpoint
+                // `UarchSnapshot`s whichever warming mode this
+                // invocation uses — both modes then share one stream
+                // file per benchmark. All machine presets share the
+                // Table 2 front end, so one warmed stream serves them
+                // all.
+                let compute = || {
+                    let mut hook = ContinuousWarmer::new(&SimConfig::default());
+                    fast_forward_streaming(
+                        &w.program,
+                        w.memory.clone(),
+                        sampling.period,
+                        max_insts,
+                        &mut hook,
+                        &mut |ckpt| publisher.publish(ckpt.clone()),
+                    )
+                };
+                let (ff, from_store) = match (store, key.as_ref()) {
+                    // Shared store: elect one computer per stream shard
+                    // (first-writer-wins) so N concurrent labs on one
+                    // `--store-dir` fast-forward each benchmark once. A
+                    // shorter window may be served from the prefix of a
+                    // longer stored stream (cross-scale reuse, DESIGN.md
+                    // §9).
+                    (Some(store), Some(key)) => Self::locked_fetch_or_compute(
+                        store,
+                        &key.file_name(),
+                        &format!("checkpoints for {bench}"),
+                        || store.load_checkpoints_covering(key),
+                        compute,
+                        |ff| store.save_checkpoints(key, ff).map(|_| ()),
+                    ),
+                    _ => (compute(), false), // no store configured
+                };
+                // A stream loaded from the store was never streamed.
+                for ckpt in &ff.checkpoints[publisher.published()..] {
+                    publisher.publish(ckpt.clone());
+                }
+                (ff, t0.elapsed().as_secs_f64(), from_store)
+            },
+            |i, idx, ckpt| {
                 let (bench, machine, scheme) = todo[i];
                 let _span = dca_obs::span("lab", "lab.interval")
                     .arg("bench", bench)
                     .arg("checkpoint", idx);
                 let w = &workloads[bench];
-                let ckpt = &ffs[bench].checkpoints[idx];
                 let cfg = &cfgs[i];
                 let mut steering = scheme.instantiate(&w.program);
                 let mut sim = Simulator::resume_from(cfg, &w.program, ckpt);
@@ -1651,47 +1101,49 @@ impl Lab {
                 tally.intervals_computed.fetch_add(1, Ordering::Relaxed);
                 m.warm_insts_total.add(warmed);
                 m.interval_ns.record((detailed_secs * 1e9) as u64);
-                (
-                    (i, idx),
-                    IntervalOutcome {
-                        stats,
-                        warmed,
-                        restored: warming == Warming::Continuous,
-                        warm_secs,
-                        detailed_secs,
-                        from_store: false,
-                    },
-                )
-            });
-            // Live sampling throughput for the next round's ETA line.
-            let round_secs = round_t0.elapsed().as_secs_f64();
-            if round_secs > 0.0 {
-                dca_obs::metrics()
-                    .intervals_per_sec_milli
-                    .set((batch.len() as f64 * 1000.0 / round_secs) as u64);
-            }
-            // Deterministic append: checkpoint order per run, whatever
-            // order the workers finished in.
-            let ordered: BTreeMap<(usize, usize), IntervalOutcome> =
-                results.into_iter().collect();
-            for ((i, idx), outcome) in ordered {
-                debug_assert_eq!(states[i].outcomes.len(), idx, "contiguous prefix");
-                states[i].outcomes.push(outcome);
-            }
-            for (i, st) in states.iter_mut().enumerate() {
-                if st.used.is_none() {
-                    st.used = adaptive_prefix(&st.outcomes, budgets[i], sampling.target_stderr);
+                IntervalOutcome {
+                    stats,
+                    warmed,
+                    restored: warming == Warming::Continuous,
+                    warm_secs,
+                    detailed_secs,
+                    from_store: false,
                 }
-            }
+            },
+        );
+        if out.cancelled {
+            progress::warn("[lab] sampling cancelled; merging completed prefixes");
+        }
+
+        let (mut ff_executed, mut ff_secs) = (0u64, 0.0f64);
+        for (bench, produced) in benches.iter().zip(out.produced) {
+            let Some((ff, secs, from_store)) = produced else {
+                continue; // the lab already held this stream
+            };
+            let info = FastForwardInfo {
+                insts: ff.total_insts,
+                checkpoints: ff.checkpoints.len() as u64,
+                secs,
+                from_store,
+            };
+            ff_executed += info.executed_insts();
+            ff_secs += secs;
+            self.ff_info.insert(bench, info);
+            self.ffs.insert(bench, ff);
+        }
+        self.tally.ff_insts.fetch_add(ff_executed, Ordering::Relaxed);
+        if ff_executed > 0 && ff_secs > 0.0 {
+            dca_obs::metrics()
+                .ff_insts_per_sec
+                .set((ff_executed as f64 / ff_secs) as u64);
         }
 
         // Merge each run's decided prefix, persist newly computed
         // intervals, and fill the caches.
         let (mut all_det_insts, mut all_det_secs) = (0u64, 0.0f64);
-        for (i, &(bench, machine, scheme)) in todo.iter().enumerate() {
-            let st = &states[i];
-            let used = st.used.expect("scheduling loop decides every run");
-            let (merged, info) = merge_outcomes(&st.outcomes, used, budgets[i] as u64);
+        for (i, run) in out.runs.into_iter().enumerate() {
+            let (bench, machine, scheme) = todo[i];
+            let (merged, info) = merge_outcomes(&run.outcomes, run.used, run.budget as u64);
             {
                 let m = dca_obs::metrics();
                 if info.early_stop {
@@ -1702,24 +1154,9 @@ impl Lab {
                 all_det_secs += info.detailed_secs;
             }
             if let Some(store) = &self.store {
-                if st.outcomes.len() > st.prefilled {
-                    let scheme_key = scheme.key();
-                    let machine_key = machine.key();
-                    let key = ResultKey {
-                        workload: bench,
-                        scale,
-                        machine: &machine_key,
-                        geometry: cfgs[i].config_hash(),
-                        scheme: &scheme_key,
-                        period: sampling.period,
-                        warmup: key_warmup,
-                        interval: sampling.interval,
-                        max_insts,
-                        warm_steering,
-                        continuous_warming: continuous,
-                        fingerprint: fingerprints[bench],
-                    };
-                    let records: Vec<IntervalRecord> = st
+                if run.outcomes.len() > prefilled[i] {
+                    let key = result_key(i);
+                    let records: Vec<IntervalRecord> = run
                         .outcomes
                         .iter()
                         .map(|o| IntervalRecord {
@@ -1821,16 +1258,16 @@ impl Lab {
             let _span = dca_obs::span("lab", "lab.worker").arg("items", items.len());
             return items.iter().map(f).collect();
         }
-        let workers = claim_workers(desired);
+        // Returned to the budget when dropped, also on unwind.
+        let claim = WorkerClaim::take(desired);
+        let workers = claim.workers;
         dca_obs::metrics().lab_workers.set(workers as u64);
         if workers <= 1 {
             let _span = dca_obs::span("lab", "lab.worker").arg("items", items.len());
-            let out = items.iter().map(f).collect();
-            release_workers(workers);
-            return out;
+            return items.iter().map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let out = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
@@ -1850,9 +1287,7 @@ impl Lab {
                 .into_iter()
                 .flat_map(|h| h.join().expect("lab worker panicked"))
                 .collect()
-        });
-        release_workers(workers);
-        out
+        })
     }
 
     /// Simulates (or returns the memoised result of) one combination.
@@ -1899,10 +1334,16 @@ impl Lab {
     }
 }
 
+/// One worker per core, read once: `available_parallelism` re-reads
+/// the cgroup quota files on every call (tens of µs), and every
+/// ensure asks at least once — four times per warm served request.
 fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The process-wide worker budget every [`Lab`] fan-out draws from.
@@ -1922,21 +1363,46 @@ pub fn set_worker_budget(n: usize) {
     worker_budget().store(n.max(1) as i64, Ordering::SeqCst);
 }
 
-/// Claims between 1 and `desired` workers from the budget.
-fn claim_workers(desired: usize) -> usize {
-    let b = worker_budget();
-    let mut avail = b.load(Ordering::Relaxed);
-    loop {
-        let take = avail.min(desired as i64).max(1);
-        match b.compare_exchange_weak(avail, avail - take, Ordering::SeqCst, Ordering::Relaxed) {
-            Ok(_) => return take as usize,
-            Err(cur) => avail = cur,
+/// Workers claimed from a budget ([`set_worker_budget`]) and handed
+/// back when the claim drops — on return and on unwind alike, so a
+/// panicking fan-out never shrinks the pool of a long-lived process.
+struct WorkerClaim {
+    budget: &'static AtomicI64,
+    workers: usize,
+}
+
+impl WorkerClaim {
+    /// Claims between 1 and `desired` workers from the process budget.
+    fn take(desired: usize) -> WorkerClaim {
+        WorkerClaim::take_from(worker_budget(), desired)
+    }
+
+    fn take_from(budget: &'static AtomicI64, desired: usize) -> WorkerClaim {
+        let mut avail = budget.load(Ordering::Relaxed);
+        loop {
+            let take = avail.min(desired as i64).max(1);
+            match budget.compare_exchange_weak(
+                avail,
+                avail - take,
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    return WorkerClaim {
+                        budget,
+                        workers: take as usize,
+                    }
+                }
+                Err(cur) => avail = cur,
+            }
         }
     }
 }
 
-fn release_workers(n: usize) {
-    worker_budget().fetch_add(n as i64, Ordering::SeqCst);
+impl Drop for WorkerClaim {
+    fn drop(&mut self) {
+        self.budget.fetch_add(self.workers as i64, Ordering::SeqCst);
+    }
 }
 
 /// Shared `main` for the `figures` binary: [`run_cli_with`] over the
@@ -2028,6 +1494,8 @@ fn emit(fig: &figures::Figure, out: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::INTERVAL_CHUNK;
+    use dca_workloads::Scale;
 
     fn smoke_opts() -> RunOpts {
         RunOpts {
@@ -2058,76 +1526,6 @@ mod tests {
         assert_eq!(lab.runs(), 2, "scheme + base");
     }
 
-    #[test]
-    fn opts_parse() {
-        let (o, rest) = RunOpts::from_args(
-            ["--scale", "smoke", "fig03", "--max-insts", "1234", "--verbose"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(o.scale, Scale::Smoke);
-        assert_eq!(o.max_insts, 1234);
-        assert!(o.verbose);
-        assert!(o.sampling.is_none());
-        assert_eq!(rest, vec!["fig03"]);
-    }
-
-    #[test]
-    fn paper_scale_enables_sampling_with_the_paper_window() {
-        let (o, rest) =
-            RunOpts::from_args(["--scale", "paper"].iter().map(|s| s.to_string()));
-        assert_eq!(o.scale, Scale::Paper);
-        assert_eq!(o.max_insts, Scale::PAPER_INSTS);
-        assert_eq!(o.sampling, Some(SampleOpts::default()));
-        assert!(rest.is_empty());
-
-        let (o, _) = RunOpts::from_args(
-            ["--scale", "paper", "--max-insts", "500000", "--sample-period", "50000",
-             "--sample-warmup", "0", "--sample-interval", "10000"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(o.max_insts, 500_000, "explicit budget wins");
-        assert_eq!(
-            o.sampling,
-            Some(SampleOpts {
-                period: 50_000,
-                warmup: 0,
-                interval: 10_000,
-                target_stderr: Some(0.01),
-                warming: Warming::Continuous,
-            })
-        );
-    }
-
-    /// A malformed value is an error naming its flag — never a panic
-    /// (the serve front maps it to a 400, the CLI to exit 1).
-    #[test]
-    fn malformed_values_are_errors_naming_the_flag() {
-        for argv in [
-            &["--scale", "huge"][..],
-            &["--max-insts", "lots"],
-            &["--sample-period", "0"],
-            &["--sample-interval", "0"],
-            &["--target-stderr", "-1"],
-            &["--warming", "tepid"],
-            &["--stale-secs", "soon"],
-            &["--store-dir"],
-        ] {
-            let err = RunOpts::parse(argv.iter().map(|s| s.to_string())).unwrap_err();
-            assert!(err.contains(argv[0]), "{argv:?}: {err:?}");
-        }
-    }
-
-    #[test]
-    fn sample_flags_enable_sampling_at_any_scale() {
-        let (o, _) = RunOpts::from_args(
-            ["--sample-period", "8000"].iter().map(|s| s.to_string()),
-        );
-        assert_eq!(o.scale, Scale::Default);
-        assert_eq!(o.sampling.expect("enabled").period, 8_000);
-    }
-
     /// Smoke-scale *detached* sampling: the window is tiny, so warming
     /// must cover the workload's cache footprint for the IPC estimate
     /// to converge (detached warming rebuilds cache/predictor state
@@ -2155,24 +1553,6 @@ mod tests {
         let mut opts = sampled_opts();
         opts.sampling.as_mut().expect("sampled").warming = Warming::Continuous;
         opts
-    }
-
-    /// The serve refusal table cannot drift from the parser: every
-    /// flag listed as server-side is actually a flag `parse`
-    /// consumes (with a value exactly when the table says so).
-    #[test]
-    fn server_side_flags_match_the_parser() {
-        for &(flag, takes_value) in SERVER_SIDE_FLAGS {
-            let mut argv = vec![flag.to_string()];
-            if takes_value {
-                argv.push("1".to_string());
-            }
-            let (_, rest) = RunOpts::parse(argv).unwrap();
-            assert!(
-                rest.is_empty(),
-                "`{flag}` is listed in SERVER_SIDE_FLAGS but the parser left {rest:?}"
-            );
-        }
     }
 
     /// Per-lab work attribution: each lab tallies its own simulation
@@ -2226,12 +1606,27 @@ mod tests {
     /// asked for.
     #[test]
     fn worker_budget_claims_are_bounded() {
-        let got = claim_workers(4);
-        assert!((1..=4).contains(&got));
-        release_workers(got);
-        let one = claim_workers(1);
-        assert_eq!(one, 1);
-        release_workers(one);
+        let got = WorkerClaim::take(4);
+        assert!((1..=4).contains(&got.workers));
+        drop(got);
+        assert_eq!(WorkerClaim::take(1).workers, 1);
+    }
+
+    /// A claim held by a panicking fan-out goes back to its budget as
+    /// the panic unwinds, so a long-lived process keeps its full pool.
+    /// (A private budget: the process one is shared with concurrently
+    /// running tests.)
+    #[test]
+    fn a_claim_dropped_during_unwind_restores_the_budget() {
+        static BUDGET: AtomicI64 = AtomicI64::new(3);
+        let unwound = std::panic::catch_unwind(|| {
+            let claim = WorkerClaim::take_from(&BUDGET, 2);
+            assert_eq!(claim.workers, 2);
+            assert_eq!(BUDGET.load(Ordering::SeqCst), 1);
+            panic!("worker failed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(BUDGET.load(Ordering::SeqCst), 3, "claim returned on unwind");
     }
 
     #[test]
@@ -2318,37 +1713,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn opts_parse_store_and_adaptive_flags() {
-        // --target-stderr enables sampling, and a sampled CLI run gets
-        // the default store directory.
-        let (o, _) = RunOpts::from_args(
-            ["--target-stderr", "0.05"].iter().map(|s| s.to_string()),
-        );
-        assert_eq!(o.sampling.expect("enabled").target_stderr, Some(0.05));
-        assert_eq!(o.store_dir.as_deref(), Some(std::path::Path::new(".dca-store")));
-
-        // 0 disables the early exit; explicit dir and warm-steering.
-        let (o, _) = RunOpts::from_args(
-            ["--scale", "paper", "--target-stderr", "0", "--store-dir", "/tmp/s", "--warm-steering"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(o.sampling.expect("enabled").target_stderr, None);
-        assert_eq!(o.store_dir.as_deref(), Some(std::path::Path::new("/tmp/s")));
-        assert!(o.warm_steering);
-
-        // --no-store wins over the sampled default.
-        let (o, _) = RunOpts::from_args(
-            ["--scale", "paper", "--no-store"].iter().map(|s| s.to_string()),
-        );
-        assert!(o.store_dir.is_none());
-
-        // Unsampled runs never get a store by default.
-        let (o, _) = RunOpts::from_args(std::iter::empty());
-        assert!(o.store_dir.is_none());
-    }
-
     /// ISSUE 3: the early exit stops at the 2-interval floor with a
     /// loose target — and never below it.
     #[test]
@@ -2368,64 +1732,6 @@ mod tests {
         // The full-budget run of the same combination merges more.
         let full = Lab::new(sampled_opts()).stats("compress", Machine::Clustered, SchemeKind::Modulo);
         assert!(full.committed > s.committed);
-    }
-
-    fn synthetic_outcome(committed: u64, cycles: u64) -> IntervalOutcome {
-        IntervalOutcome {
-            stats: SimStats {
-                committed,
-                cycles,
-                ..SimStats::default()
-            },
-            warmed: 0,
-            restored: false,
-            warm_secs: 0.0,
-            detailed_secs: 0.0,
-            from_store: false,
-        }
-    }
-
-    /// ISSUE 3 determinism: once the prefix rule can decide, its answer
-    /// never changes when more intervals become available — which is
-    /// exactly why figures are identical whether workers finish in
-    /// forward, reverse or shuffled order, and whatever overshoot a
-    /// previous run left in the store.
-    #[test]
-    fn adaptive_prefix_decision_is_stable_under_longer_prefixes() {
-        // IPCs: 1.0, 1.0, then noise — the rule fires at n = 2.
-        let outcomes: Vec<IntervalOutcome> = [1.0f64, 1.0, 1.4, 0.6, 1.2, 0.8, 1.1, 0.9]
-            .iter()
-            .map(|ipc| synthetic_outcome((ipc * 1000.0) as u64, 1000))
-            .collect();
-        let budget = outcomes.len();
-        let target = Some(0.01);
-        assert_eq!(adaptive_prefix(&outcomes[..0], budget, target), None);
-        assert_eq!(adaptive_prefix(&outcomes[..1], budget, target), None);
-        for have in 2..=budget {
-            assert_eq!(
-                adaptive_prefix(&outcomes[..have], budget, target),
-                Some(2),
-                "decision must not drift with {have} intervals available"
-            );
-        }
-        // Merges over any availability ≥ the decision are identical.
-        let (m2, i2) = merge_outcomes(&outcomes[..2], 2, budget as u64);
-        let (m8, i8) = merge_outcomes(&outcomes, 2, budget as u64);
-        assert_eq!(m2.committed, m8.committed);
-        assert_eq!(m2.cycles, m8.cycles);
-        assert_eq!(i2.intervals, i8.intervals);
-        assert!(i2.early_stop);
-
-        // High variance: no early stop, full budget once available.
-        let noisy: Vec<IntervalOutcome> = [2.0f64, 0.5, 3.0, 0.2, 2.5, 0.4]
-            .iter()
-            .map(|ipc| synthetic_outcome((ipc * 1000.0) as u64, 1000))
-            .collect();
-        assert_eq!(adaptive_prefix(&noisy[..4], noisy.len(), target), None);
-        assert_eq!(adaptive_prefix(&noisy, noisy.len(), target), Some(noisy.len()));
-        // Without a target the rule always wants the full budget.
-        assert_eq!(adaptive_prefix(&noisy[..4], noisy.len(), None), None);
-        assert_eq!(adaptive_prefix(&noisy, noisy.len(), None), Some(noisy.len()));
     }
 
     fn store_opts(tag: &str) -> (RunOpts, std::path::PathBuf) {
@@ -3078,6 +2384,118 @@ mod tests {
         let stats = lab.stats(run.0, run.1, run.2);
         assert!(lab.cancelled());
         assert_eq!(stats.committed, 0, "no work scheduled after cancellation");
+    }
+
+    /// Smoke-scale continuous sampling over `compress` (which halts
+    /// after about 32K instructions) with a 2K checkpoint period.
+    fn pipeline_opts(max_insts: u64, target_stderr: Option<f64>) -> RunOpts {
+        RunOpts {
+            scale: Scale::Smoke,
+            max_insts,
+            sampling: Some(SampleOpts {
+                period: 2_000,
+                warmup: 1_500,
+                interval: 1_000,
+                target_stderr,
+                warming: Warming::Continuous,
+            }),
+            ..RunOpts::default()
+        }
+    }
+
+    const PIPELINE_RUNS: [Run; 3] = [
+        ("compress", Machine::Base, SchemeKind::Naive),
+        ("compress", Machine::Clustered, SchemeKind::GeneralBalance),
+        ("compress", Machine::Clustered, SchemeKind::Modulo),
+    ];
+
+    /// Everything deterministic a lab reports for `runs`: the merged
+    /// `SimStats` field by field (its `Debug` rendering) and every
+    /// `SampleInfo` field except the two wall-clock sums.
+    fn sampled_results(lab: &Lab, runs: &[Run]) -> Vec<String> {
+        runs.iter()
+            .map(|&(b, m, s)| {
+                let key = Lab::cache_key(b, m, s);
+                let i = &lab.sample_info[&key];
+                format!(
+                    "{:?} | {} {} {} {} {} {} {} {:?} {:?} {}",
+                    lab.cache[&key],
+                    i.intervals,
+                    i.budget,
+                    i.early_stop,
+                    i.from_store,
+                    i.restored_snapshots,
+                    i.detailed_insts,
+                    i.detailed_cycles,
+                    i.ipc_mean,
+                    i.ipc_stderr,
+                    i.warmed_insts
+                )
+            })
+            .collect()
+    }
+
+    /// Streamed equivalence: a lab that runs intervals while its own
+    /// fast-forward is still publishing checkpoints merges exactly
+    /// what a lab sampling an adopted, complete stream merges, and does
+    /// the same work — for adaptive and fixed budgets, and for a window
+    /// the program halts inside (final budget 17, below the upper bound
+    /// of 30 the pipeline assumes until the stream ends).
+    #[test]
+    fn streamed_checkpoints_match_an_adopted_stream() {
+        for (max_insts, target) in
+            [(30_000, Some(0.02)), (30_000, None), (60_000, Some(0.02)), (60_000, None)]
+        {
+            let opts = pipeline_opts(max_insts, target);
+            let what = format!("window {max_insts}, target {target:?}");
+            let mut streamed = Lab::new(opts.clone());
+            streamed.ensure_on(&PIPELINE_RUNS, Some(2));
+
+            let mut parent = Lab::new(opts.clone());
+            parent.ensure_on(&PIPELINE_RUNS[..1], Some(1));
+            let ff = parent.fast_forward_info("compress").expect("fast-forwarded").clone();
+            let mut adopted = Lab::new(opts);
+            adopted.adopt_from(&parent);
+            let before = adopted.work();
+            adopted.ensure_on(&PIPELINE_RUNS, Some(2));
+            let delta = adopted.work().since(&before);
+
+            assert_eq!(
+                sampled_results(&streamed, &PIPELINE_RUNS),
+                sampled_results(&adopted, &PIPELINE_RUNS),
+                "{what}"
+            );
+            assert_eq!(delta.ff_insts, 0, "{what}: the adopted stream is reused");
+            assert_eq!(
+                streamed.work(),
+                WorkCounts { ff_insts: ff.insts, ..delta },
+                "{what}: same intervals, one fast-forward"
+            );
+            let (b, m, s) = PIPELINE_RUNS[0];
+            let budget = streamed.sample_info(b, m, s).expect("sampled").budget;
+            assert_eq!(budget, ff.checkpoints, "{what}");
+            assert_eq!(budget, if max_insts == 60_000 { 17 } else { 15 }, "{what}");
+        }
+    }
+
+    /// The pipeline at 1, 2 and 3 workers: no deadlock at one (the
+    /// producer finishes before any interval runs) and identical
+    /// results and work at every width.
+    #[test]
+    fn pipeline_width_leaves_results_unchanged() {
+        let opts = pipeline_opts(60_000, Some(0.02));
+        let mut reference = Lab::new(opts.clone());
+        reference.ensure_on(&PIPELINE_RUNS, Some(1));
+        for workers in 2..=3 {
+            let mut lab = Lab::new(opts.clone());
+            lab.ensure_on(&PIPELINE_RUNS, Some(workers));
+            assert_eq!(
+                sampled_results(&lab, &PIPELINE_RUNS),
+                sampled_results(&reference, &PIPELINE_RUNS),
+                "{workers} workers"
+            );
+            assert_eq!(lab.work(), reference.work(), "{workers} workers");
+        }
     }
 
     #[test]

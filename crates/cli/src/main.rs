@@ -86,7 +86,7 @@ shared staleness threshold for lock takeover and temp sweeps.
 .dca-serve.sock) or host:port, and additionally on the TCP address
 --http-addr ADDR. Identical in-flight requests are deduplicated onto
 one computation across listeners, scheduling is round-robin across
-clients, progress streams per sampling round, and results already in
+clients, progress streams per queued chunk of intervals, and results in
 the store are served warm with zero recompute. --jobs K runs up to K
 jobs concurrently on one shared worker budget, keeping per-job
 accounting exact. `dca client --addr ADDR` talks to either kind of
@@ -360,7 +360,16 @@ fn cmd_compare(args: Vec<String>) -> Result<(), String> {
         ));
     };
 
+    // The whole run-set in one batch — every base run next to every
+    // scheme run — so the Lab spreads all of it over its worker pool
+    // (a sampled run overlaps the fast-forward with every interval).
+    let mut runs: Vec<(&str, Machine, SchemeKind)> = Vec::new();
+    for &b in &benches {
+        runs.push((b, Machine::Base, SchemeKind::Naive));
+        runs.extend(schemes.iter().map(|&s| (b, Machine::Clustered, s)));
+    }
     let mut lab = Lab::new(opts.clone());
+    lab.ensure(&runs);
     let mut headers = vec!["scheme"];
     headers.extend(benches.iter().copied());
     if benches.len() > 1 {

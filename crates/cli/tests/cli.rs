@@ -102,6 +102,70 @@ fn compare_prints_speedup_table() {
     assert!(s.contains("compress"));
 }
 
+/// `dca compare` ensures its whole run-set (base plus every scheme,
+/// every benchmark) in one batch. Sampled, it must print the table
+/// and do the work of the one-combination-at-a-time order.
+#[test]
+fn batched_compare_matches_the_per_combination_order() {
+    use dca_bench::{Lab, Machine, RunOpts, SchemeKind};
+    let dir = std::env::temp_dir().join("dca-cli-compare-batch");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.prom");
+    let sampled = [
+        "--scale",
+        "smoke",
+        "--sample-period",
+        "20000",
+        "--sample-interval",
+        "5000",
+        "--no-store",
+    ];
+    let mut args = vec!["compare", "--bench", "all", "--schemes", "general,static", "-q"];
+    args.extend(sampled);
+    args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+    let o = dca(&args);
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    // The per-combination order: one `Lab::speedup` per cell.
+    let (opts, _) = RunOpts::parse(sampled.map(String::from)).unwrap();
+    let mut lab = Lab::new(opts);
+    let mut headers = vec!["scheme"];
+    headers.extend(dca_workloads::NAMES);
+    headers.push("H-mean");
+    let mut t = dca_stats::Table::new(&headers);
+    for s in [SchemeKind::GeneralBalance, SchemeKind::StaticLdSt] {
+        let mut row = vec![s.label().to_string()];
+        let mut ratios = Vec::new();
+        for b in dca_workloads::NAMES {
+            let sp = lab.speedup(b, Machine::Clustered, s);
+            ratios.push(1.0 + sp / 100.0);
+            row.push(format!("{sp:.1}"));
+        }
+        row.push(format!("{:.1}", (dca_stats::harmonic_mean(&ratios) - 1.0) * 100.0));
+        t.row(&row);
+    }
+    assert_eq!(
+        stdout(&o),
+        format!(
+            "Speed-up (%) over the base machine, clustered machine runs\n\n{}\n",
+            t.to_aligned()
+        )
+    );
+
+    let prom = std::fs::read_to_string(&metrics).expect("metrics written");
+    let counter = |name: &str| -> u64 {
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing:\n{prom}"))
+    };
+    let work = lab.work();
+    assert!(work.intervals_computed > 0);
+    assert_eq!(counter("dca_intervals_computed_total"), work.intervals_computed);
+    assert_eq!(counter("dca_ff_insts_total"), work.ff_insts);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn slices_reports_both_slices() {
     let o = dca(&["slices", "--bench", "compress", "--scale", "smoke"]);
@@ -259,6 +323,13 @@ fn observability_artefacts_leave_reports_byte_identical() {
             "no `{want}` span in trace"
         );
     }
+    // Each benchmark's fast-forward is a task of the interval pool
+    // with its own span; the serial phase span is gone.
+    let named = |name: &str| {
+        events.iter().any(|e| e.get("name").and_then(Json::as_str) == Some(name))
+    };
+    assert!(named("lab.fast_forward"), "no `lab.fast_forward` span");
+    assert!(!named("lab.fast_forward_phase"), "the fast-forward phase no longer exists");
     // Scheme setup (the static analysis of §3.3) is its own span.
     assert!(
         events.iter().any(|e| {

@@ -154,15 +154,38 @@ pub fn fast_forward_with(
     max: u64,
     hook: &mut dyn WarmHook,
 ) -> FastForward {
+    fast_forward_streaming(prog, mem, every, max, hook, &mut |_| {})
+}
+
+/// [`fast_forward_with`] that also hands each checkpoint to
+/// `on_checkpoint` the moment it is taken, in stream order, so a
+/// consumer can start simulating from checkpoint *k* while the pass is
+/// still producing *k + 1*. The returned stream is the same one.
+///
+/// # Panics
+///
+/// Panics if `every == 0`.
+pub fn fast_forward_streaming(
+    prog: &Program,
+    mem: Memory,
+    every: u64,
+    max: u64,
+    hook: &mut dyn WarmHook,
+    on_checkpoint: &mut dyn FnMut(&Checkpoint),
+) -> FastForward {
     assert!(every > 0, "checkpoint interval must be non-zero");
     let mut span = dca_obs::span("prog", "prog.fast_forward").arg("every", every);
     let mut it = Interp::new(prog, mem).with_fuel(max);
-    let mut checkpoints = vec![it.checkpoint().with_uarch_opt(hook.snapshot())];
+    let first = it.checkpoint().with_uarch_opt(hook.snapshot());
+    on_checkpoint(&first);
+    let mut checkpoints = vec![first];
     let mut next_ckpt = every;
     while let Some(d) = it.next() {
         hook.observe(&d);
         if it.seq() == next_ckpt && it.seq() < max {
-            checkpoints.push(it.checkpoint().with_uarch_opt(hook.snapshot()));
+            let ckpt = it.checkpoint().with_uarch_opt(hook.snapshot());
+            on_checkpoint(&ckpt);
+            checkpoints.push(ckpt);
             next_ckpt += every;
         }
     }
@@ -496,6 +519,20 @@ mod tests {
         for (k, c) in ff.checkpoints.iter().enumerate() {
             assert_eq!(c.seq(), k as u64 * 50);
         }
+    }
+
+    /// The streaming callback sees every checkpoint of the returned
+    /// stream, in order, and nothing else.
+    #[test]
+    fn streaming_publishes_each_checkpoint_in_order() {
+        let p = countdown(100);
+        let mut seen = Vec::new();
+        let ff = fast_forward_streaming(&p, Memory::new(), 50, 400, &mut NoWarmHook, &mut |c| {
+            seen.push(c.seq())
+        });
+        let grid: Vec<u64> = ff.checkpoints.iter().map(Checkpoint::seq).collect();
+        assert_eq!(seen, grid);
+        assert_eq!(grid, [0, 50, 100, 150, 200, 250, 300, 350]);
     }
 
     #[test]

@@ -58,8 +58,8 @@ mod slice;
 pub use asm::{disassemble, parse_asm, AsmError};
 pub use builder::ProgramBuilder;
 pub use checkpoint::{
-    fast_forward, fast_forward_with, Checkpoint, CheckpointDecoder, CheckpointEncoder,
-    CodecError, FastForward, NoWarmHook, WarmHook, INTERP_VERSION,
+    fast_forward, fast_forward_streaming, fast_forward_with, Checkpoint, CheckpointDecoder,
+    CheckpointEncoder, CodecError, FastForward, NoWarmHook, WarmHook, INTERP_VERSION,
 };
 pub use interp::{DynInst, ExecSummary, Interp, Memory};
 pub use program::{Block, Program, ProgramError, StaticInst};

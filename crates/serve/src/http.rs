@@ -759,7 +759,7 @@ fn route(
 }
 
 /// Streams a job's progress as chunked ndjson: the current status
-/// first, then one line per sampling round, then the final result
+/// first, then one line per queued chunk of sample intervals, then the final result
 /// summary (without the body — that stays on `/result`).
 fn stream_job(service: &Arc<Service>, conn: &mut Box<dyn Conn>, jid: u64) -> io::Result<Outcome> {
     let m = dca_obs::metrics();

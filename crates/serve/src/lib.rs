@@ -24,7 +24,7 @@
 //!   client gets the byte-identical report;
 //! - **fair scheduling** — round-robin across clients, so a batch
 //!   client queueing many figures cannot starve an interactive one;
-//! - **progress streams** — per-sampling-round events carrying the
+//! - **progress streams** — per-chunk sampling events carrying the
 //!   live intervals/second gauge from `dca-obs`;
 //! - **warm results** with zero recompute — the shared
 //!   [`dca_store::Store`] (one handle, cloned per Lab) makes a repeat

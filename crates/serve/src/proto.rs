@@ -132,7 +132,7 @@ pub fn opts_key(o: &RunOpts) -> String {
     .render()
 }
 
-/// Builds one progress-stream line (a sampling round).
+/// Builds one progress-stream line (one queued chunk of sample intervals).
 pub fn progress_payload(
     job: u64,
     figure: &str,

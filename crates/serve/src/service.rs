@@ -66,7 +66,7 @@ const DONE_RETENTION: usize = 256;
 /// A job event, pushed to every session following the job.
 #[derive(Clone)]
 pub enum Event {
-    /// A sampling round is about to fan out on a subscribed job.
+    /// A chunk of sample intervals was queued on a subscribed job.
     Progress {
         /// The job making progress.
         job: JobId,
@@ -144,7 +144,7 @@ pub struct Dispatch {
     pub req: FigureRequest,
     /// The options key (Lab-pool slot; exclusive while executing).
     pub okey: String,
-    /// Cooperative cancel token, checked by the Lab between rounds.
+    /// Cooperative cancel token, checked by the Lab before each chunk of intervals.
     pub cancel: Arc<AtomicBool>,
 }
 
@@ -538,7 +538,7 @@ impl Service {
     }
 
     /// Starts shutdown: wakes the dispatchers (which then drain and
-    /// exit), cancels executing jobs at their next round boundary,
+    /// exit), cancels executing jobs before their next chunk of intervals,
     /// and ends every session's event stream with [`Event::Shutdown`].
     pub fn begin_shutdown(&self) {
         let mut st = self.state.lock().unwrap();

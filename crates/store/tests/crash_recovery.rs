@@ -127,7 +127,10 @@ fn assert_recovered(
 /// (measured against a fault-free plan on a pristine copy of the
 /// baseline) — the sweep bound.
 fn count_ops(baseline: &Path, new: &dca_prog::FastForward) -> u64 {
-    let dir = arena("countops");
+    // One arena per baseline: tests run concurrently, and a shared
+    // directory lets one test delete another's half-written store.
+    let name = baseline.file_name().expect("arena path").to_string_lossy();
+    let dir = arena(&format!("countops-{name}"));
     copy_dir(baseline, &dir);
     let io = Arc::new(FaultIo::new(FaultPlan::default()));
     let counter: Arc<FaultIo> = Arc::clone(&io);
