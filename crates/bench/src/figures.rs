@@ -1073,9 +1073,7 @@ const WARM_STEERING_SCHEME: SchemeKind = SchemeKind::LdStSliceBalance;
 ///
 /// At `--scale paper` this is the paper's full 100M-instruction
 /// operating point; at other scales (or without sampling) it reports
-/// the straight runs and says so. When the `SAMPLING_JSON` environment
-/// variable names a file, the machine-readable summary is also written
-/// there (CI records it as `BENCH_sampling.json`).
+/// the straight runs and says so.
 pub fn sampling(lab: &mut Lab) -> Figure {
     ensure_series(lab, &SAMPLING_SERIES, &[SAMPLING_BENCH], true);
     let opts = lab.opts();
@@ -1164,7 +1162,6 @@ pub fn sampling(lab: &mut Lab) -> Figure {
     // a `warmup`-per-`period` shift). The delta is the end-to-end
     // movement of the reported number between the two modes.
     // Deterministic, so it lives in the report body.
-    let mut warm_json = String::new();
     if sampled {
         let warming_side = |warming: Warming, parent: &Lab| {
             let mut o = opts.clone();
@@ -1196,15 +1193,6 @@ pub fn sampling(lab: &mut Lab) -> Figure {
              window-matched control is the bit-identical warming-equivalence\n\
              suite.\n",
             SchemeKind::GeneralBalance.label(),
-            detached.ipc(),
-            continuous.ipc(),
-            tdelta,
-        );
-        let _ = write!(
-            warm_json,
-            ",\n  \"warming_transient\": {{\"scheme\": \"{}\", \"detached_ipc\": {:.4}, \
-             \"continuous_ipc\": {:.4}, \"delta_pct\": {:.3}}}",
-            SchemeKind::GeneralBalance.name(),
             detached.ipc(),
             continuous.ipc(),
             tdelta,
@@ -1250,20 +1238,11 @@ pub fn sampling(lab: &mut Lab) -> Figure {
             warm.ipc(),
             delta,
         );
-        let _ = write!(
-            warm_json,
-            ",\n  \"warm_steering\": {{\"scheme\": \"{}\", \"cold_ipc\": {:.4}, \"warm_ipc\": {:.4}, \"delta_pct\": {:.3}}}",
-            WARM_STEERING_SCHEME.name(),
-            cold.ipc(),
-            warm.ipc(),
-            delta,
-        );
     }
 
     // Wall-clock rates and end-to-end economics: nondeterministic by
     // nature, so they go to the `.timing` footer, never the report.
     let mut timing = None;
-    let mut json_extra = String::new();
     if sampled {
         let ff = lab
             .fast_forward_info(SAMPLING_BENCH)
@@ -1365,14 +1344,6 @@ pub fn sampling(lab: &mut Lab) -> Figure {
                  {extrapolated:.0}s (×{speedup:.0} speed-up).",
                 SAMPLING_SERIES.len()
             );
-            let _ = write!(
-                json_extra,
-                ",\n  \"detailed\": {{\"insts\": {det_insts}, \"secs\": {det_secs:.3}, \"per_sec\": {det_rate:.1}}},\n  \
-                 \"warm_secs\": {warm_secs:.3},\n  \
-                 \"sampled_serial_secs\": {sampled_secs:.3},\n  \
-                 \"extrapolated_full_secs\": {extrapolated:.1},\n  \
-                 \"speedup_vs_full\": {speedup:.1}",
-            );
         } else {
             let _ = writeln!(
                 foot,
@@ -1380,58 +1351,7 @@ pub fn sampling(lab: &mut Lab) -> Figure {
                  interval came from the warm store."
             );
         }
-        let _ = write!(
-            json_extra,
-            ",\n  \"fast_forward\": {{\"insts\": {}, \"executed_insts\": {}, \"from_store\": {}, \"secs\": {:.3}}},\n  \
-             \"store\": {{\"enabled\": {}, \"intervals_from_store\": {stored_intervals}}},\n  \
-             \"counters\": {{\"restored_snapshots\": {restored}, \"early_stops\": {early_stops}, \
-             \"lock_elections_won\": {}, \"lock_elections_lost\": {}}}",
-            ff.insts,
-            ff.executed_insts(),
-            ff.from_store,
-            ff.secs,
-            opts.store_dir.is_some(),
-            dca_obs::metrics().lock_elections_won_total.get(),
-            dca_obs::metrics().lock_elections_lost_total.get(),
-        );
         timing = Some(foot);
-    }
-
-    if let Ok(path) = std::env::var("SAMPLING_JSON") {
-        if !path.is_empty() {
-            let mut combos = String::new();
-            for (k, &(label, machine, scheme)) in SAMPLING_SERIES.iter().enumerate() {
-                let s = lab.stats(SAMPLING_BENCH, machine, scheme);
-                let (n, budget, early, stderr) = lab
-                    .sample_info(SAMPLING_BENCH, machine, scheme)
-                    .map_or((1, 1, false, 0.0), |i| {
-                        (i.intervals, i.budget, i.early_stop, i.ipc_stderr)
-                    });
-                let _ = write!(
-                    combos,
-                    "{}\n    {{\"label\": \"{label}\", \"ipc\": {:.4}, \"intervals\": {n}, \
-                     \"budget\": {budget}, \"early_stop\": {early}, \"ipc_stderr\": {stderr:.4}}}",
-                    if k == 0 { "" } else { "," },
-                    s.ipc()
-                );
-            }
-            let target = opts
-                .sampling
-                .and_then(|s| s.target_stderr)
-                .map_or("null".to_string(), |t| format!("{t}"));
-            let json = format!(
-                "{{\n  \"benchmark\": \"{SAMPLING_BENCH}\",\n  \"sampled\": {sampled},\n  \
-                 \"window_insts\": {},\n  \"target_stderr\": {target},\n  \
-                 \"combos\": [{combos}\n  ]{json_extra}{warm_json}\n}}\n",
-                opts.max_insts
-            );
-            match std::fs::write(&path, json) {
-                Ok(()) => dca_obs::progress::info(format!("[lab] wrote {path}")),
-                Err(e) => {
-                    dca_obs::progress::warn(format!("[lab] could not write {path}: {e}"))
-                }
-            }
-        }
     }
 
     Figure {

@@ -1,8 +1,8 @@
 //! # dca-bench — the experiment harness
 //!
 //! Regenerates **every table and figure** of the paper's evaluation
-//! (§3) as text artefacts: `dca figures [ID ...]` (or the `figures`
-//! binary) regenerates the named figures, or all of them, and writes
+//! (§3) as text artefacts: `dca figures [ID ...]` ([`run_cli_with`])
+//! regenerates the named figures, or all of them, and writes
 //! `results/*.md`.
 //!
 //! The heart of the crate is [`Lab`], which memoises simulation runs:
@@ -1405,20 +1405,10 @@ impl Drop for WorkerClaim {
     }
 }
 
-/// Shared `main` for the `figures` binary: [`run_cli_with`] over the
-/// process arguments; on a malformed option or unknown figure id it
-/// prints `error: …` and exits with status 1.
-pub fn run_cli() {
-    if let Err(e) = run_cli_with(std::env::args().skip(1)) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Parses common options, regenerates the requested artefacts (no id:
-/// everything), prints them and saves them under `results/`. Callers
-/// that already consumed part of the command line (the `dca figures`
-/// subcommand) pass the remainder.
+/// `dca figures [ID ...] [options]`: parses the common options,
+/// regenerates the requested artefacts (no id: everything), prints
+/// them and saves them under `results/`. `args` is the command line
+/// after the `figures` subcommand.
 ///
 /// # Errors
 ///

@@ -129,8 +129,7 @@ fn main() -> ExitCode {
         }
         "serve" => dca_serve::cmd_serve(args),
         "client" => dca_serve::cmd_client(args),
-        // Delegate to the bench harness (the same artefacts as the
-        // `figures` binary).
+        // Every table and figure of the paper, written to results/.
         "figures" => dca_bench::run_cli_with(args.into_iter()),
         "--help" | "-h" | "help" => {
             println!("{}", usage());

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `dca` binary: each subcommand, plus the
 //! error paths a user will actually hit.
 
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::{Command, Output, Stdio};
 
 fn dca(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dca"))
@@ -16,6 +17,37 @@ fn stdout(o: &Output) -> String {
 
 fn stderr(o: &Output) -> String {
     String::from_utf8_lossy(&o.stderr).into_owned()
+}
+
+/// The value of counter `name` in a Prometheus exposition.
+fn counter(prom: &str, name: &str) -> u64 {
+    prom.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing:\n{prom}"))
+}
+
+/// A small sampled `figures sampling` run against `store`: big enough
+/// to persist checkpoint and result shards, small enough for seconds.
+fn small_sampling_args(store: &Path) -> Vec<String> {
+    let mut args: Vec<String> = [
+        "figures",
+        "sampling",
+        "--scale",
+        "smoke",
+        "--max-insts",
+        "40000",
+        "--sample-period",
+        "10000",
+        "--sample-warmup",
+        "1000",
+        "--sample-interval",
+        "2000",
+        "--store-dir",
+    ]
+    .map(String::from)
+    .to_vec();
+    args.push(store.to_str().unwrap().to_string());
+    args
 }
 
 #[test]
@@ -154,15 +186,10 @@ fn batched_compare_matches_the_per_combination_order() {
     );
 
     let prom = std::fs::read_to_string(&metrics).expect("metrics written");
-    let counter = |name: &str| -> u64 {
-        prom.lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
-            .unwrap_or_else(|| panic!("{name} missing:\n{prom}"))
-    };
     let work = lab.work();
     assert!(work.intervals_computed > 0);
-    assert_eq!(counter("dca_intervals_computed_total"), work.intervals_computed);
-    assert_eq!(counter("dca_ff_insts_total"), work.ff_insts);
+    assert_eq!(counter(&prom, "dca_intervals_computed_total"), work.intervals_computed);
+    assert_eq!(counter(&prom, "dca_ff_insts_total"), work.ff_insts);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -250,30 +277,12 @@ fn observability_artefacts_leave_reports_byte_identical() {
 
     let base = std::env::temp_dir().join("dca-cli-obs");
     std::fs::remove_dir_all(&base).ok();
-    let sampled_args = |store: &str| {
-        vec![
-            "figures".to_string(),
-            "sampling".to_string(),
-            "--scale".to_string(),
-            "smoke".to_string(),
-            "--max-insts".to_string(),
-            "40000".to_string(),
-            "--sample-period".to_string(),
-            "10000".to_string(),
-            "--sample-warmup".to_string(),
-            "1000".to_string(),
-            "--sample-interval".to_string(),
-            "2000".to_string(),
-            "--store-dir".to_string(),
-            store.to_string(),
-        ]
-    };
 
     // Plain run: no observability flags.
     let plain = base.join("plain");
     std::fs::create_dir_all(&plain).unwrap();
     let o = Command::new(env!("CARGO_BIN_EXE_dca"))
-        .args(sampled_args(plain.join("store").to_str().unwrap()))
+        .args(small_sampling_args(&plain.join("store")))
         .current_dir(&plain)
         .output()
         .expect("binary runs");
@@ -282,7 +291,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
     // Instrumented run: spans + metrics on, everything else equal.
     let traced = base.join("traced");
     std::fs::create_dir_all(&traced).unwrap();
-    let mut args = sampled_args(traced.join("store").to_str().unwrap());
+    let mut args = small_sampling_args(&traced.join("store"));
     args.extend(
         ["--trace-out", "obs/trace.json", "--metrics-out", "obs/metrics.prom"]
             .map(String::from),
@@ -314,6 +323,17 @@ fn observability_artefacts_leave_reports_byte_identical() {
         .and_then(Json::as_array)
         .expect("traceEvents array");
     assert!(!events.is_empty(), "spans recorded");
+    for (i, e) in events.iter().enumerate() {
+        let name = e.get("name").and_then(Json::as_str);
+        assert!(name.is_some_and(|n| !n.is_empty()), "event {i} has no name");
+        assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"), "event {i} is not ph:X");
+        for field in ["ts", "dur"] {
+            assert!(
+                e.get(field).and_then(Json::as_f64).is_some(),
+                "event {i} lacks numeric {field}"
+            );
+        }
+    }
     for want in ["lab", "prog", "sim", "steer", "store"] {
         assert!(
             events.iter().any(|e| {
@@ -348,8 +368,11 @@ fn observability_artefacts_leave_reports_byte_identical() {
         .expect("metrics written");
     for needle in [
         "# TYPE dca_intervals_computed_total counter",
+        "# TYPE dca_store_reads_total counter",
         "dca_store_writes_total",
+        "# TYPE dca_interval_ns histogram",
         "dca_interval_ns_bucket",
+        "dca_lab_workers",
     ] {
         assert!(prom.contains(needle), "metrics missing {needle}:\n{prom}");
     }
@@ -389,6 +412,65 @@ fn observability_artefacts_leave_reports_byte_identical() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// Four real processes race on one cold `--store-dir`. The shard
+/// locks elect one writer per shard: exactly one process fast-forwards
+/// and the others are served from the store. Every report is
+/// byte-identical to a single-process reference, and the shared store
+/// verifies clean with no lock left behind.
+#[test]
+fn concurrent_processes_share_one_store() {
+    const PROCS: usize = 4;
+    let dir = std::env::temp_dir().join(format!("dca-cli-stress-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let run_in = |wd: &Path, store: &Path| {
+        std::fs::create_dir_all(wd).unwrap();
+        Command::new(env!("CARGO_BIN_EXE_dca"))
+            .args(small_sampling_args(store))
+            .args(["-q", "--metrics-out"])
+            .arg(wd.join("metrics.prom"))
+            .current_dir(wd)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs")
+    };
+    let report = |wd: &Path| std::fs::read(wd.join("results").join("sampling.md")).unwrap();
+
+    let reference = dir.join("ref");
+    let o = run_in(&reference, &dir.join("ref-store")).wait_with_output().unwrap();
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    let store = dir.join("shared-store");
+    let workers: Vec<_> = (0..PROCS).map(|i| dir.join(format!("w{i}"))).collect();
+    let children: Vec<_> = workers.iter().map(|wd| run_in(wd, &store)).collect();
+    for child in children {
+        let o = child.wait_with_output().unwrap();
+        assert!(o.status.success(), "a concurrent worker failed: {}", stderr(&o));
+    }
+    let mut fast_forwarded = 0;
+    for wd in &workers {
+        assert!(report(wd) == report(&reference), "{wd:?}: report differs from the reference");
+        let prom = std::fs::read_to_string(wd.join("metrics.prom")).expect("metrics written");
+        fast_forwarded += usize::from(counter(&prom, "dca_ff_insts_total") > 0);
+    }
+    assert_eq!(fast_forwarded, 1, "exactly one process fast-forwards the shared shard");
+
+    let o = dca(&["store", "verify", "--store-dir", store.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
+    for sub in ["ck", "rs"] {
+        let n = std::fs::read_dir(store.join(sub)).unwrap().count();
+        assert!(n > 0, "{sub}/ is empty");
+    }
+    let locks: Vec<_> = std::fs::read_dir(store.join("locks"))
+        .map(|d| d.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(
+        !locks.iter().any(|p| p.extension().is_some_and(|x| x == "lock")),
+        "shard locks left behind: {locks:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn store_lifecycle_stat_verify_gc() {
     let dir = std::env::temp_dir().join("dca-cli-store");
@@ -407,11 +489,7 @@ fn store_lifecycle_stat_verify_gc() {
 
     // A sampled figures run fills the store.
     let o = Command::new(env!("CARGO_BIN_EXE_dca"))
-        .args([
-            "figures", "sampling", "--scale", "smoke", "--max-insts", "40000",
-            "--sample-period", "10000", "--sample-warmup", "1000",
-            "--sample-interval", "2000", "--store-dir", store_arg,
-        ])
+        .args(small_sampling_args(&store_dir))
         .current_dir(&dir)
         .output()
         .expect("binary runs");

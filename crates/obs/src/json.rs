@@ -3,10 +3,10 @@
 //! The container has no serde; this module carries the small JSON
 //! surface observability needs: rendering trace files, metrics
 //! snapshots and run manifests, and parsing them back in the validity
-//! tests and the `obs_validate` checker. It is not a general-purpose
-//! JSON library — numbers parse into `I64`/`U64` when exact and `F64`
-//! otherwise, and object key order is preserved (insertion order), so
-//! render → parse → render round-trips byte-identically.
+//! tests. It is not a general-purpose JSON library — numbers parse
+//! into `I64`/`U64` when exact and `F64` otherwise, and object key
+//! order is preserved (insertion order), so render → parse → render
+//! round-trips byte-identically.
 
 use std::fmt::Write as _;
 

@@ -113,7 +113,7 @@ impl Manifest {
     ///
     /// The write is atomic (unique temp file + rename, like the store
     /// shards): concurrent invocations stamping the same manifest —
-    /// stress_store.sh's racing processes, N serve-driven runs — each
+    /// racing `dca figures` processes, N serve-driven runs — each
     /// replace it wholesale, so a reader always sees one writer's
     /// complete document, never an interleaving or a torn prefix.
     pub fn save(&self, path: &Path) -> io::Result<()> {

@@ -9,8 +9,8 @@
 //! The report goes to stdout (or `--out FILE`). The serving summary —
 //! job id, canonical key, dedup/warm flags, per-job work deltas,
 //! wall-clock — is structured JSON: `--json` prints it to stdout
-//! (instead of the report), `--json-out FILE` writes it to a file.
-//! `scripts/bench_serve_http.sh` asserts on it.
+//! (instead of the report), `--json-out FILE` writes it to a file;
+//! the serve tests assert on it.
 //!
 //! [`Figure::document`]: dca_bench::figures::Figure::document
 

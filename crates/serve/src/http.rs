@@ -26,8 +26,7 @@
 //!
 //! The result body is [`dca_bench::figures::Figure::document`] —
 //! byte-identical to what `dca client --out` writes and what offline
-//! `dca figures` saves (asserted end to end by
-//! `scripts/bench_serve_http.sh`).
+//! `dca figures` saves (asserted end to end by `tests/http.rs`).
 //!
 //! Submitted jobs run even though no connection follows them, and
 //! their outcome is retained (bounded) for polling. Everything else —

@@ -18,8 +18,8 @@
 //! Shutdown (`POST /v1/shutdown` on any listener) flips the core's
 //! flag, wakes every accept loop by self-connection, shuts every
 //! parked session socket down, and joins everything — no leaked
-//! sockets, locks, or temp files (asserted by
-//! `scripts/bench_serve_http.sh`).
+//! sockets, locks, or temp files (asserted after every shutdown in
+//! `tests/http.rs`).
 
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -8,9 +8,11 @@
 //!   poisoning other sessions — proven by a healthy canary connection
 //!   on each listener, pinged after every abuse.
 //! - Serving semantics: the server-side-flag refusal table, dedup
-//!   across listeners, byte-identical reports, warm restarts, clients
-//!   that vanish mid-stream, and a second daemon refused on a live
-//!   socket.
+//!   across listeners, byte-identical reports that match offline
+//!   `dca figures`, warm restarts, clients that vanish mid-stream, a
+//!   second daemon refused on a live socket, and clean shutdowns
+//!   (requested on either listener) that close both listeners and
+//!   leave no lock or temp file in the store.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -50,6 +52,7 @@ fn scratch(tag: &str) -> PathBuf {
 struct Daemon {
     sock: String,
     tcp: String,
+    store_dir: Option<PathBuf>,
     handle: JoinHandle<Result<(), String>>,
 }
 
@@ -60,7 +63,7 @@ impl Daemon {
         let opts = ServeOpts {
             listen: sock.to_str().unwrap().to_string(),
             http_addr: Some("127.0.0.1:0".to_string()),
-            store_dir,
+            store_dir: store_dir.clone(),
             ..ServeOpts::default()
         };
         let handle = std::thread::spawn(move || {
@@ -72,14 +75,26 @@ impl Daemon {
         Daemon {
             sock: bound[0].clone(),
             tcp: bound[1].clone(),
+            store_dir,
             handle,
         }
     }
 
-    /// Shuts the daemon down over the unix socket; asserts a clean
-    /// exit that unlinks the socket.
+    /// Shuts the daemon down with `dca client` over the unix socket.
     fn shutdown(self) {
         run_client(&client_opts(&self.sock, Mode::Shutdown)).expect("shutdown accepted");
+        self.assert_clean_exit();
+    }
+
+    /// Shuts the daemon down with `POST /v1/shutdown` over TCP.
+    fn shutdown_over_tcp(self) {
+        assert_eq!(round(&self.tcp, "POST", "/v1/shutdown", None).status, 200);
+        self.assert_clean_exit();
+    }
+
+    /// Asserts a clean exit: the socket is unlinked, the TCP listener
+    /// refuses connections, and the store holds no lock or temp file.
+    fn assert_clean_exit(self) {
         self.handle
             .join()
             .expect("serve thread")
@@ -88,7 +103,30 @@ impl Daemon {
             !Path::new(&self.sock).exists(),
             "socket unlinked on shutdown"
         );
+        assert!(
+            TcpStream::connect(&self.tcp).is_err(),
+            "TCP listener closed on shutdown"
+        );
+        if let Some(store) = &self.store_dir {
+            let leaked = leftovers(store);
+            assert!(leaked.is_empty(), "leaked lock/temp files: {leaked:?}");
+        }
     }
+}
+
+/// Every `*.lock` and `.tmp-*` file under `dir`.
+fn leftovers(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if path.is_dir() {
+            found.extend(leftovers(&path));
+        } else if name.ends_with(".lock") || name.starts_with(".tmp-") {
+            found.push(path);
+        }
+    }
+    found
 }
 
 fn client_opts(addr: &str, mode: Mode) -> ClientOpts {
@@ -383,6 +421,10 @@ fn both_listeners_serve_byte_identical_reports() {
         "reports are byte-identical across listeners"
     );
     assert!(unix_body.starts_with("# "), "document carries its title");
+    // ...and identical to what offline `dca figures` renders.
+    let (opts, _) = dca_bench::RunOpts::parse(fig_args.iter().cloned()).unwrap();
+    let fig = dca_bench::figures::by_name("fig03").unwrap()(&mut dca_bench::Lab::new(opts));
+    assert_eq!(unix_body, fig.document(), "served report matches offline `dca figures`");
     for key in ["figure", "key", "title"] {
         assert_eq!(
             tcp_doc.get(key).and_then(Json::as_str),
@@ -472,7 +514,7 @@ fn warm_restart_serves_from_the_store_with_zero_fast_forward() {
 
     let d = Daemon::start(&sock, Some(store.clone()));
     let (cold_body, cold) = fetch(&d.sock, &dir, "cold", "sampling", &fig_args);
-    d.shutdown();
+    d.shutdown_over_tcp();
     let get = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_u64);
     assert!(
         get(&cold, "ff_insts").unwrap() > 0,
