@@ -22,13 +22,13 @@ mod sampling;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dca_obs::progress;
 use dca_prog::{fast_forward_streaming, Checkpoint, FastForward, Program};
 use dca_sim::{ContinuousWarmer, MachineDesc, SimConfig, SimStats, Simulator, Steering};
 use dca_uarch::UarchSnapshot;
-use dca_store::{CheckpointKey, FileKind, IntervalRecord, LockAttempt, ResultKey, Store, StoreError};
+use dca_store::{CheckpointKey, IntervalRecord, ResultKey, Store};
 use dca_steer::{
     FifoSteering, GeneralBalance, Modulo, Naive, NonSliceBalance, PrioritySliceBalance,
     SliceBalance, SliceKind, SliceSteering, StaticPartition,
@@ -94,13 +94,14 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns the list of valid names on an unknown input.
+    /// Returns the list of valid names on an unknown input, and the
+    /// valid range on a `homo<N>` cluster count outside it.
     pub fn from_name(name: &str) -> Result<Machine, String> {
         if let Some(n) = name.strip_prefix("homo") {
             let n: u8 = n
                 .parse()
                 .map_err(|_| format!("bad cluster count in `{name}`"))?;
-            return Ok(Machine::NClusters(n));
+            return SimConfig::n_clustered(usize::from(n)).map(|_| Machine::NClusters(n));
         }
         Ok(match name {
             "base" => Machine::Base,
@@ -417,16 +418,7 @@ pub struct RoundProgress {
 impl Lab {
     /// Creates a lab.
     pub fn new(opts: RunOpts) -> Lab {
-        let store = opts.store_dir.as_ref().map(|dir| {
-            let mut s = Store::open(dir);
-            if let Some(secs) = opts.lock_wait_secs {
-                s = s.with_lock_wait(Duration::from_secs(secs));
-            }
-            if let Some(secs) = opts.stale_secs {
-                s = s.with_stale_after(Duration::from_secs(secs));
-            }
-            s
-        });
+        let store = opts.store_dir.as_ref().map(Store::open);
         Lab {
             opts,
             workloads: HashMap::new(),
@@ -605,103 +597,6 @@ impl Lab {
         m
     }
 
-    /// First-writer-wins shard acquisition against a shared store.
-    ///
-    /// Fast path: the shard is already published — return it. On a
-    /// miss, race the other workers for the shard lock; the winner
-    /// re-checks under the lock (a peer may have published while it
-    /// waited), computes, saves and releases. Losers poll the shard
-    /// with exponential backoff (10ms doubling, capped at 250ms) until
-    /// the winner publishes or [`Store::lock_wait`] elapses.
-    ///
-    /// Degradation rule (ISSUE 6): a store that is unreadable, not
-    /// lockable, or whose lock never frees must never fail the run —
-    /// every such path computes in memory, skips the save, warns on
-    /// stderr, and reports `from_store = false`.
-    fn locked_fetch_or_compute<T>(
-        store: &Store,
-        name: &str,
-        what: &str,
-        load: impl Fn() -> Result<T, StoreError>,
-        mut compute: impl FnMut() -> T,
-        save: impl Fn(&T) -> Result<(), StoreError>,
-    ) -> (T, bool) {
-        // A stale or corrupt entry is *not* a reason to abandon the
-        // store: fall through to the lock loop so the winner heals it
-        // (recompute + save). Only an unusable store — lock directory
-        // unreachable, or a lock that never frees — degrades.
-        let m = dca_obs::metrics();
-        match load() {
-            Ok(v) => {
-                m.store_hits_total.inc();
-                return (v, true);
-            }
-            Err(e) if e.is_not_found() => m.store_misses_total.inc(),
-            Err(e) => {
-                m.store_misses_total.inc();
-                progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
-            }
-        }
-        let wait_t0 = Instant::now();
-        let deadline = wait_t0 + store.lock_wait();
-        let mut backoff = Duration::from_millis(10);
-        let waited_ns = || wait_t0.elapsed().as_nanos() as u64;
-        loop {
-            match store.try_lock(FileKind::Checkpoints, name) {
-                LockAttempt::Acquired(_guard) => {
-                    m.lock_elections_won_total.inc();
-                    m.lock_wait_ns.record(waited_ns());
-                    match load() {
-                        Ok(v) => return (v, true),
-                        Err(e) if e.is_not_found() => {}
-                        Err(e) => {
-                            progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
-                        }
-                    }
-                    let v = compute();
-                    if let Err(e) = save(&v) {
-                        progress::warn(format!("[lab] store: could not save {what}: {e}"));
-                    }
-                    return (v, false);
-                }
-                LockAttempt::Busy => {
-                    // The holder is computing (or healing) this shard:
-                    // poll for its publication, quietly treating
-                    // not-yet-healed errors as misses.
-                    if let Ok(v) = load() {
-                        m.lock_elections_lost_total.inc();
-                        m.lock_wait_ns.record(waited_ns());
-                        return (v, true);
-                    }
-                    if Instant::now() >= deadline {
-                        // The loser's degradation is part of the total-
-                        // degradation invariant (a permanently held
-                        // lock must never fail a run) — counted, so a
-                        // fleet of serve workers wedging on one lock is
-                        // visible in the metrics, not just in stderr.
-                        m.lock_deadline_expired_total.inc();
-                        m.lock_wait_ns.record(waited_ns());
-                        progress::warn(format!(
-                            "[lab] store: lock on {name} still held after {:?}; \
-                             computing {what} without the store",
-                            store.lock_wait()
-                        ));
-                        return (compute(), false);
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(250));
-                }
-                LockAttempt::Unavailable(e) => {
-                    m.lock_wait_ns.record(waited_ns());
-                    progress::warn(format!(
-                        "[lab] store: lock unavailable ({e}); computing {what} without the store"
-                    ));
-                    return (compute(), false);
-                }
-            }
-        }
-    }
-
     /// Shares another lab's built workloads and checkpoint streams
     /// with this one (cheap: programs and copy-on-write memory pages
     /// clone by reference). Short-lived side measurements — the
@@ -776,7 +671,7 @@ impl Lab {
     ///
     /// In sampled mode ([`RunOpts::sampling`]) the units of parallel
     /// work are one fast-forward per benchmark and one *sample
-    /// interval*, not one run; see [`Lab::ensure_sampled`].
+    /// interval*, not one run (DESIGN.md §7).
     pub fn ensure(&mut self, runs: &[(&str, Machine, SchemeKind)]) {
         self.ensure_on(runs, None);
     }
@@ -1001,14 +896,6 @@ impl Lab {
                     sampling.period
                 ));
                 let w = &workloads[bench];
-                let key = store.map(|_| CheckpointKey {
-                    workload: bench,
-                    scale,
-                    period: sampling.period,
-                    max_insts,
-                    fingerprint: fingerprints[bench],
-                    uarch: warm_uarch,
-                });
                 let t0 = Instant::now();
                 // The pass always streams through a [`ContinuousWarmer`],
                 // so every stream carries per-checkpoint
@@ -1028,22 +915,22 @@ impl Lab {
                         &mut |ckpt| publisher.publish(ckpt.clone()),
                     )
                 };
-                let (ff, from_store) = match (store, key.as_ref()) {
-                    // Shared store: elect one computer per stream shard
-                    // (first-writer-wins) so N concurrent labs on one
-                    // `--store-dir` fast-forward each benchmark once. A
-                    // shorter window may be served from the prefix of a
-                    // longer stored stream (cross-scale reuse, DESIGN.md
-                    // §9).
-                    (Some(store), Some(key)) => Self::locked_fetch_or_compute(
-                        store,
-                        &key.file_name(),
-                        &format!("checkpoints for {bench}"),
-                        || store.load_checkpoints_covering(key),
+                let (ff, from_store) = match store {
+                    // Shared store: one computer per stream shard, so N
+                    // concurrent labs on one `--store-dir` fast-forward
+                    // each benchmark once (DESIGN.md §10).
+                    Some(store) => store.fetch_or_compute_checkpoints(
+                        &CheckpointKey {
+                            workload: bench,
+                            scale,
+                            period: sampling.period,
+                            max_insts,
+                            fingerprint: fingerprints[bench],
+                            uarch: warm_uarch,
+                        },
                         compute,
-                        |ff| store.save_checkpoints(key, ff).map(|_| ()),
                     ),
-                    _ => (compute(), false), // no store configured
+                    None => (compute(), false),
                 };
                 // A stream loaded from the store was never streamed.
                 for ckpt in &ff.checkpoints[publisher.published()..] {
@@ -1155,7 +1042,6 @@ impl Lab {
             }
             if let Some(store) = &self.store {
                 if run.outcomes.len() > prefilled[i] {
-                    let key = result_key(i);
                     let records: Vec<IntervalRecord> = run
                         .outcomes
                         .iter()
@@ -1164,33 +1050,7 @@ impl Lab {
                             warmed_insts: o.warmed,
                         })
                         .collect();
-                    // One lock attempt, no retry: interval shards are an
-                    // optimisation, and a peer holding the lock is
-                    // writing its own (equal or longer) prefix anyway.
-                    // Under the lock, never shrink a longer stored
-                    // prefix — concurrent labs may decide different
-                    // adaptive budgets for the same combination.
-                    match store.try_lock(FileKind::Results, &key.file_name()) {
-                        LockAttempt::Acquired(_guard) => {
-                            let existing = match store.load_intervals(&key) {
-                                Ok(stored) => stored.len(),
-                                Err(_) => 0,
-                            };
-                            if existing < records.len() {
-                                if let Err(e) = store.save_intervals(&key, &records) {
-                                    progress::warn(format!(
-                                        "[lab] store: could not save intervals: {e}"
-                                    ));
-                                }
-                            }
-                        }
-                        LockAttempt::Busy => {} // a peer is writing this shard
-                        LockAttempt::Unavailable(e) => {
-                            progress::warn(format!(
-                                "[lab] store: could not save intervals: {e}"
-                            ));
-                        }
-                    }
+                    store.extend_intervals(&result_key(i), &records);
                 }
             }
             let key = Self::cache_key(bench, machine, scheme);
@@ -2194,118 +2054,6 @@ mod tests {
             assert!(!s.name().is_empty());
             assert!(!k.label().is_empty());
         }
-    }
-
-    #[test]
-    fn lock_wait_secs_flag_reaches_the_store() {
-        let dir = std::env::temp_dir().join("dca-bench-lockwait");
-        let argv = ["--lock-wait-secs", "3", "--store-dir"]
-            .iter()
-            .map(ToString::to_string)
-            .chain(std::iter::once(dir.display().to_string()));
-        let (opts, rest) = RunOpts::from_args(argv);
-        assert!(rest.is_empty());
-        assert_eq!(opts.lock_wait_secs, Some(3));
-        let lab = Lab::new(opts);
-        assert_eq!(
-            lab.store.as_ref().expect("store configured").lock_wait(),
-            Duration::from_secs(3),
-            "--lock-wait-secs overrides the store's lock patience"
-        );
-        // Without the flag the store keeps its default.
-        let lab = Lab::new(RunOpts {
-            store_dir: Some(dir.clone()),
-            ..RunOpts::default()
-        });
-        assert_eq!(
-            lab.store.as_ref().expect("store configured").lock_wait(),
-            Duration::from_secs(120)
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_secs_flag_reaches_the_store() {
-        let dir = std::env::temp_dir().join("dca-bench-stalesecs");
-        let argv = ["--stale-secs", "7", "--store-dir"]
-            .iter()
-            .map(ToString::to_string)
-            .chain(std::iter::once(dir.display().to_string()));
-        let (opts, rest) = RunOpts::from_args(argv);
-        assert!(rest.is_empty());
-        assert_eq!(opts.stale_secs, Some(7));
-        let lab = Lab::new(opts);
-        assert_eq!(
-            lab.store.as_ref().expect("store configured").stale_after(),
-            Duration::from_secs(7),
-            "--stale-secs overrides the shared lock/temp staleness threshold"
-        );
-        // Without the flag both thresholds keep the one shared default.
-        let lab = Lab::new(RunOpts {
-            store_dir: Some(dir.clone()),
-            ..RunOpts::default()
-        });
-        assert_eq!(
-            lab.store.as_ref().expect("store configured").stale_after(),
-            dca_store::lock::DEFAULT_STALE_AFTER
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// ISSUE 9 regression: a permanently held shard lock (live owner
-    /// that never publishes) must expire the lock-wait deadline into
-    /// in-memory compute with `from_store = false` and a counted
-    /// metric — never an error, never a hung run. The contending lab
-    /// runs through a `FaultIo` store (armed, non-firing plan) so the
-    /// degradation path is exercised under the injection layer used by
-    /// the crash sweeps.
-    #[test]
-    fn permanently_held_lock_degrades_with_a_counted_metric() {
-        use dca_store::io::{FaultIo, FaultKind, FaultPlan};
-        let (opts, dir) = store_opts("held-lock");
-        let run = ("compress", Machine::Clustered, SchemeKind::Modulo);
-
-        // The wedged peer: holds the checkpoint-shard lock this lab
-        // will want, from a live pid (ours), and never releases it.
-        let key = CheckpointKey {
-            workload: run.0,
-            scale: opts.scale.name(),
-            period: opts.sampling.unwrap().period,
-            max_insts: opts.max_insts,
-            fingerprint: dca_workloads::build(run.0, opts.scale).fingerprint(),
-            uarch: SimConfig::default().uarch_hash(),
-        };
-        let holder = Store::open(&dir);
-        let _guard = match holder.try_lock(FileKind::Checkpoints, &key.file_name()) {
-            LockAttempt::Acquired(g) => g,
-            other => panic!("could not stage the held lock: {other:?}"),
-        };
-
-        let m = dca_obs::metrics();
-        let expired_before = m.lock_deadline_expired_total.get();
-        let io = std::sync::Arc::new(FaultIo::new(FaultPlan::fail_at(u64::MAX, FaultKind::Fail)));
-        let store = Store::open_with_io(&dir, io).with_lock_wait(Duration::from_millis(300));
-        let mut lab = Lab::with_store(opts, store);
-        let s = lab.stats(run.0, run.1, run.2);
-        assert!(
-            !lab.fast_forward_info(run.0).expect("ran").from_store,
-            "deadline loser reports from_store = false"
-        );
-        assert!(
-            m.lock_deadline_expired_total.get() > expired_before,
-            "the expiry is counted, not just logged"
-        );
-        let reference = Lab::new(sampled_opts()).stats(run.0, run.1, run.2);
-        assert_eq!(s.cycles, reference.cycles, "degraded run is still correct");
-        assert_eq!(s.committed, reference.committed);
-        // The loser computed without the lock, so it must not have
-        // published the checkpoint shard behind the holder's back.
-        assert!(
-            !dir.join("ck").join(key.file_name()).exists(),
-            "no shard written without holding its lock"
-        );
-        drop(_guard);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Chunk-round cancellation (the `dca serve` disconnect path):

@@ -119,16 +119,6 @@ pub struct RunOpts {
     /// functional warming of every sampled interval
     /// (`--warm-steering`; ROADMAP "steering-state warm-up").
     pub warm_steering: bool,
-    /// How long the Lab waits for another process's shard lock before
-    /// degrading to storeless computation (`--lock-wait-secs`; `None`
-    /// keeps the store default of 120 s). CI and tests set this low so
-    /// a wedged peer cannot stall a run for minutes.
-    pub lock_wait_secs: Option<u64>,
-    /// Staleness threshold for the store's lock-takeover and
-    /// orphaned-temp sweeps (`--stale-secs`; `None` keeps the shared
-    /// default of [`dca_store::lock::DEFAULT_STALE_AFTER`], 600 s).
-    /// One knob for both, so the two ages cannot drift apart.
-    pub stale_secs: Option<u64>,
     /// Suppress progress lines (`-q`/`--quiet`); warnings still print.
     pub quiet: bool,
     /// Write this invocation's spans as Chrome trace-event JSON here
@@ -148,8 +138,6 @@ impl Default for RunOpts {
             sampling: None,
             store_dir: None,
             warm_steering: false,
-            lock_wait_secs: None,
-            stale_secs: None,
             quiet: false,
             trace_out: None,
             metrics_out: None,
@@ -158,17 +146,14 @@ impl Default for RunOpts {
 }
 
 /// Flags of the [`RunOpts::parse`] grammar that configure the
-/// *process* — persistence placement, lock patience, observability
-/// sinks, verbosity — rather than the simulation. A serve daemon
-/// refuses them on the wire (they belong to whoever started the
-/// daemon), and both serve fronts share this one table so the
-/// refusal list cannot drift from the parser. Each entry is
-/// `(flag, takes_value)`.
+/// *process* — persistence placement, observability sinks, verbosity
+/// — rather than the simulation. A serve daemon refuses them on the
+/// wire (they belong to whoever started the daemon), and both serve
+/// fronts share this one table so the refusal list cannot drift from
+/// the parser. Each entry is `(flag, takes_value)`.
 pub const SERVER_SIDE_FLAGS: &[(&str, bool)] = &[
     ("--store-dir", true),
     ("--no-store", false),
-    ("--lock-wait-secs", true),
-    ("--stale-secs", true),
     ("--trace-out", true),
     ("--metrics-out", true),
     ("--verbose", false),
@@ -181,11 +166,9 @@ impl RunOpts {
     /// (`--scale smoke|default|full|paper`, `--max-insts N`,
     /// `--sample-period N`, `--sample-warmup N`, `--sample-interval N`,
     /// `--target-stderr X`, `--warming detached|continuous`,
-    /// `--store-dir DIR`, `--no-store`, `--lock-wait-secs N`,
-    /// `--stale-secs N`,
-    /// `--warm-steering`, `--verbose`, `-q`/`--quiet`,
-    /// `--trace-out FILE`, `--metrics-out FILE`). Unrecognised
-    /// arguments are returned for the caller.
+    /// `--store-dir DIR`, `--no-store`, `--warm-steering`, `--verbose`,
+    /// `-q`/`--quiet`, `--trace-out FILE`, `--metrics-out FILE`).
+    /// Unrecognised arguments are returned for the caller.
     ///
     /// `--scale paper` selects [`Scale::Paper`], widens the default
     /// instruction budget to the paper's 100M window and turns on
@@ -256,8 +239,6 @@ impl RunOpts {
                     opts.sampling.get_or_insert_with(SampleOpts::default).warming = w;
                 }
                 "--store-dir" => opts.store_dir = Some(PathBuf::from(value(&mut args, &a)?)),
-                "--lock-wait-secs" => opts.lock_wait_secs = Some(number(&mut args, &a)?),
-                "--stale-secs" => opts.stale_secs = Some(number(&mut args, &a)?),
                 "--no-store" => no_store = true,
                 "--warm-steering" => opts.warm_steering = true,
                 "--verbose" => opts.verbose = true,
@@ -396,7 +377,6 @@ mod tests {
             &["--sample-interval", "0"],
             &["--target-stderr", "-1"],
             &["--warming", "tepid"],
-            &["--stale-secs", "soon"],
             &["--store-dir"],
         ] {
             let err = RunOpts::parse(argv.iter().map(|s| s.to_string())).unwrap_err();

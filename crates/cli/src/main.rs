@@ -34,10 +34,9 @@ USAGE:
     dca slices  [--bench NAME | --kernel NAME | --asm FILE]
     dca list
     dca figures [ID ...]          (no ID: regenerate everything)
-    dca store   stat|verify|gc [--store-dir DIR] [--stale-secs N]
+    dca store   stat|verify|gc [--store-dir DIR]
     dca serve   [--listen ADDR] [--http-addr ADDR] [--jobs K]
-                [--store-dir DIR | --no-store] [--lock-wait-secs N]
-                [--stale-secs N]
+                [--store-dir DIR | --no-store]
     dca client  [--addr ADDR] (--figure ID [-- OPTS...] |
                 --ping | --stats | --shutdown) [--out FILE] [--json]
                 [--json-out FILE]
@@ -68,7 +67,9 @@ store directory (default .dca-store; --store-dir DIR overrides,
 --no-store disables), so repeated invocations skip the fast-forward
 and finished intervals. Shards carry per-shard checksums, writes are
 temp+atomic-rename, and concurrent processes coordinate through
-advisory shard locks, so several runs may share one --store-dir.
+advisory shard locks, so several runs may share one --store-dir: one
+of them fast-forwards each benchmark while the others wait for its
+stream (for up to 2 minutes, then they compute without the store).
 The store is a recomputable cache: `dca store stat` summarises the
 directory, `verify` checksums every file and names the first damaged
 record (read-only; exit 0 clean, 1 corrupt/stale, 2 I/O error), and
@@ -76,9 +77,6 @@ record (read-only; exit 0 clean, 1 corrupt/stale, 2 I/O error), and
 files, including any an older store format left in the root
 (skipping shards a live writer holds locked), orphaned temp files
 and dead-owner locks.
---lock-wait-secs N bounds how long a run waits for a peer's shard
-lock before degrading to in-memory compute; --stale-secs N is the
-shared staleness threshold for lock takeover and temp sweeps.
 
 `dca serve` runs the harness as a daemon speaking HTTP/1.1 (POST
 /v1/figures, job polling, chunked progress streams, Prometheus
@@ -461,24 +459,13 @@ fn cmd_store(args: Vec<String>) -> Result<ExitCode, String> {
         Some(d) => d,
         None => ".dca-store".into(),
     };
-    let stale_secs = flags
-        .take("--stale-secs")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--stale-secs needs a number of seconds, got `{v}`"))
-        })
-        .transpose()?;
     let sub = if flags.0.is_empty() {
         "stat".to_string()
     } else {
         flags.0.remove(0)
     };
     flags.finish("store")?;
-    let mut store = Store::open(&dir);
-    if let Some(secs) = stale_secs {
-        store = store.with_stale_after(std::time::Duration::from_secs(secs));
-    }
-    let code = cmd_store_sub(&store, &dir, &sub)?;
+    let code = cmd_store_sub(&Store::open(&dir), &dir, &sub)?;
     // Every store op runs through the instrumented I/O layer, so the
     // session counters are exactly this maintenance op's footprint.
     let m = dca_obs::metrics();

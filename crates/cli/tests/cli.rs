@@ -227,6 +227,8 @@ fn error_paths_fail_with_diagnostics() {
         (&["run", "--bench", "li", "--scale", "huge"], "--scale: unknown scale `huge`"),
         (&["compare", "--max-insts", "lots"], "--max-insts needs a number"),
         (&["figures", "sampling", "--sample-period", "0"], "--sample-period must be non-zero"),
+        (&["run", "--bench", "li", "--machine", "homo9", "--scale", "smoke"], "cluster count 9 outside 2..=8"),
+        (&["run", "--bench", "li", "--machine", "homo1", "--scale", "smoke"], "cluster count 1 outside 2..=8"),
     ];
     for (args, needle) in cases {
         let o = dca(args);

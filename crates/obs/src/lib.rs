@@ -3,11 +3,11 @@
 //! Zero-dependency tracing, metrics and run manifests (DESIGN.md §12),
 //! shared by every layer of the workspace:
 //!
-//! * [`span`] — hierarchical span tracing into per-thread append-only
+//! * [`mod@span`] — hierarchical span tracing into per-thread append-only
 //!   buffers, drained into Chrome trace-event JSON loadable in
 //!   Perfetto / `chrome://tracing`. Disabled by default; a disabled
 //!   [`span::span`] call is one relaxed atomic load (~ns).
-//! * [`metrics`] — a process-wide registry of atomic counters, gauges
+//! * [`mod@metrics`] — a process-wide registry of atomic counters, gauges
 //!   and log₂ histograms, snapshotted on demand and exported as
 //!   Prometheus-style text exposition.
 //! * [`progress`] — the one stderr progress sink (`--verbose` /

@@ -54,7 +54,7 @@ pub fn warn(msg: impl AsRef<str>) {
 }
 
 /// Formats an ETA suffix from work remaining and a live rate in
-/// milli-units per second (the [`crate::metrics`] `intervals_per_sec_milli`
+/// milli-units per second (the [`fn@crate::metrics`] `intervals_per_sec_milli`
 /// gauge). Returns `"eta --"` until the rate is warm.
 pub fn eta(remaining: u64, rate_milli_per_sec: u64) -> String {
     if rate_milli_per_sec == 0 {

@@ -360,8 +360,8 @@ impl<R: Read> HttpReader<R> {
     }
 
     /// Reads one response head: status code plus headers, leaving the
-    /// body (sized or chunked) for [`HttpReader::read_body`] /
-    /// [`HttpReader::next_chunk`].
+    /// body (sized or chunked) unread — a chunked body then streams
+    /// through [`HttpReader::next_chunk`].
     pub fn read_response_head(&mut self) -> Result<(u16, Vec<(String, String)>), HttpError> {
         let head = self.read_head("response head")?;
         let head = std::str::from_utf8(&head)

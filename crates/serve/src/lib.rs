@@ -50,8 +50,7 @@ pub use server::{serve, serve_with, Bound, ServeOpts};
 pub use service::{Event, Service};
 
 /// `dca serve [--listen ADDR] [--http-addr ADDR] [--jobs K]
-/// [--store-dir DIR | --no-store] [--lock-wait-secs N]
-/// [--stale-secs N] [-q|--verbose]`.
+/// [--store-dir DIR | --no-store] [-q|--verbose]`.
 pub fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     let mut opts = ServeOpts::default();
     let mut obs = dca_bench::RunOpts::default();
@@ -70,8 +69,6 @@ pub fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     if switch(&mut args, "--no-store") {
         opts.store_dir = None;
     }
-    opts.lock_wait_secs = take_u64(&mut args, "--lock-wait-secs")?;
-    opts.stale_secs = take_u64(&mut args, "--stale-secs")?;
     obs.quiet = switch(&mut args, "-q") || switch(&mut args, "--quiet");
     obs.verbose = switch(&mut args, "--verbose");
     finish(args, "serve")?;

@@ -6,7 +6,7 @@
 //! - **one accept loop per listener** — the unix socket or TCP
 //!   address of `--listen`, plus the TCP address of `--http-addr` when
 //!   set. Every listener speaks HTTP/1.1: each accepted connection
-//!   gets one [`crate::http::http_session`] thread.
+//!   gets one session thread of the [`crate::http`] front.
 //! - **K dispatchers** (`--jobs K`): each runs
 //!   [`crate::service::dispatcher`] against the shared Lab pool. The
 //!   core never hands two dispatchers jobs with the same options key,
@@ -26,7 +26,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use dca_obs::progress;
 use dca_store::Store;
@@ -47,10 +46,6 @@ pub struct ServeOpts {
     pub jobs: usize,
     /// Store directory shared by every job; `None` serves storeless.
     pub store_dir: Option<PathBuf>,
-    /// Lock patience override (`--lock-wait-secs`).
-    pub lock_wait_secs: Option<u64>,
-    /// Staleness-threshold override (`--stale-secs`).
-    pub stale_secs: Option<u64>,
 }
 
 impl Default for ServeOpts {
@@ -60,8 +55,6 @@ impl Default for ServeOpts {
             http_addr: None,
             jobs: 1,
             store_dir: Some(PathBuf::from(".dca-store")),
-            lock_wait_secs: None,
-            stale_secs: None,
         }
     }
 }
@@ -123,16 +116,7 @@ pub fn serve_with(opts: ServeOpts, on_bound: impl FnOnce(&Bound)) -> Result<(), 
         .collect::<Result<Vec<_>, _>>()?;
     let bound: Bound = listeners.iter().map(Listener::local_addr).collect();
     on_bound(&bound);
-    let store = opts.store_dir.as_ref().map(|dir| {
-        let mut s = Store::open(dir);
-        if let Some(secs) = opts.lock_wait_secs {
-            s = s.with_lock_wait(Duration::from_secs(secs));
-        }
-        if let Some(secs) = opts.stale_secs {
-            s = s.with_stale_after(Duration::from_secs(secs));
-        }
-        s
-    });
+    let store = opts.store_dir.as_ref().map(Store::open);
     progress::info(format!(
         "serve: listening on {} (store: {}, jobs: {})",
         bound[0],

@@ -36,7 +36,6 @@ fn start(jobs: usize) -> (String, String, JoinHandle<Result<(), String>>) {
         http_addr: Some("127.0.0.1:0".to_string()),
         jobs,
         store_dir: None,
-        ..ServeOpts::default()
     };
     let handle = std::thread::spawn(move || {
         serve_with(opts, |bound| {

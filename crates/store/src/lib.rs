@@ -31,9 +31,11 @@
 //! * writes are crash-atomic (unique temp sibling + fsync + rename);
 //!   orphaned temps are swept at [`Store::open`];
 //! * writers coordinate through advisory per-shard lock files
-//!   ([`Store::try_lock`]) with dead-owner takeover, so N concurrent
-//!   `Lab`/CLI processes against one store directory are safe and
-//!   elect one computer per shard;
+//!   ([`Store::try_lock`]) with dead-owner takeover, and the store owns
+//!   the sharing protocol built on them:
+//!   [`Store::fetch_or_compute_checkpoints`] elects one computer per
+//!   checkpoint shard across N concurrent `Lab`/CLI processes, and
+//!   [`Store::extend_intervals`] never shrinks a stored result prefix;
 //! * a full disk surfaces as [`StoreError::Full`], a damaged shard as
 //!   [`StoreError::Corrupt`] — both degrade to in-memory recompute in
 //!   callers, never into a failed run.
@@ -80,8 +82,9 @@ pub mod shard;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
+use dca_obs::progress;
 use dca_prog::FastForward;
 
 pub use checkpoints::CheckpointKey;
@@ -294,7 +297,6 @@ pub struct Store {
     root: PathBuf,
     io: Arc<dyn StoreIo>,
     lock_wait: Duration,
-    stale_after: Duration,
 }
 
 impl Store {
@@ -317,43 +319,18 @@ impl Store {
             root: root.into(),
             io: Arc::new(io::InstrumentedIo::new(io)),
             lock_wait: Duration::from_secs(120),
-            stale_after: lock::DEFAULT_STALE_AFTER,
         };
         store.startup();
         store
     }
 
-    /// Sets how long lock-aware callers ([`Store::lock_wait`] readers,
-    /// i.e. the Lab's bounded retry loop) should keep waiting on a
-    /// contended shard before degrading to in-memory recompute.
+    /// Sets how long [`Store::fetch_or_compute_checkpoints`] waits on
+    /// a shard another live process holds locked before it computes
+    /// without the store (default 120 s). A test seam: tests shorten
+    /// it to reach the deadline path quickly.
     pub fn with_lock_wait(mut self, wait: Duration) -> Store {
         self.lock_wait = wait;
         self
-    }
-
-    /// Overrides the staleness threshold — the age past which a lock
-    /// (or orphaned temp file) whose owner's liveness cannot be
-    /// determined is presumed abandoned. One knob governs both (see
-    /// [`lock::DEFAULT_STALE_AFTER`]); it applies to every lock
-    /// decision and maintenance sweep performed through this handle
-    /// after the call (the open-time sweep runs with the conservative
-    /// default). CI and tests set it low to reclaim artefacts of
-    /// deliberately killed writers promptly.
-    pub fn with_stale_after(mut self, stale_after: Duration) -> Store {
-        self.stale_after = stale_after;
-        self
-    }
-
-    /// The staleness threshold in effect (see
-    /// [`Store::with_stale_after`]).
-    pub fn stale_after(&self) -> Duration {
-        self.stale_after
-    }
-
-    /// The bound for lock-contention retry loops (see
-    /// [`Store::with_lock_wait`]).
-    pub fn lock_wait(&self) -> Duration {
-        self.lock_wait
     }
 
     /// The store directory.
@@ -382,24 +359,22 @@ impl Store {
             self.root.join(FileKind::Checkpoints.dir()),
             self.root.join(FileKind::Results.dir()),
         ] {
-            shard::sweep_temps(&self.io, &dir, self.stale_after);
+            shard::sweep_temps(&self.io, &dir);
         }
     }
 
     /// One non-blocking attempt to take the writer lock for the shard
-    /// `name` of `kind`. [`LockAttempt::Busy`] means a live writer is
-    /// ahead — poll the entry and retry with backoff, bounded by
-    /// [`Store::lock_wait`]; [`LockAttempt::Unavailable`] means the
-    /// lock directory itself cannot be used (read-only store) — waiting
-    /// will not help, degrade immediately.
-    pub fn try_lock(&self, _kind: FileKind, name: &str) -> LockAttempt {
+    /// `name`. [`LockAttempt::Busy`] means a live writer is ahead;
+    /// [`LockAttempt::Unavailable`] means the lock directory itself
+    /// cannot be used (read-only store) — waiting will not help.
+    pub fn try_lock(&self, name: &str) -> LockAttempt {
         let path = self.lock_path(name);
         if let Some(dir) = path.parent() {
             if let Err(e) = self.io.create_dir_all(dir) {
                 return LockAttempt::Unavailable(e.to_string());
             }
         }
-        let attempt = lock::try_acquire(&self.io, &path, self.stale_after);
+        let attempt = lock::try_acquire(&self.io, &path);
         if matches!(attempt, LockAttempt::Busy) {
             dca_obs::metrics().lock_busy_polls_total.inc();
         }
@@ -408,7 +383,7 @@ impl Store {
 
     /// `true` when a live process holds the writer lock for `name`.
     fn live_locked(&self, name: &str) -> bool {
-        lock::holder(&self.io, &self.lock_path(name), self.stale_after)
+        lock::holder(&self.io, &self.lock_path(name))
             .map(|(_, live)| live)
             .unwrap_or(false)
     }
@@ -566,6 +541,100 @@ impl Store {
         Err(StoreError::NotFound)
     }
 
+    /// The checkpoint stream for `key`, from the store or from
+    /// `compute`, with one computer per shard across every process
+    /// sharing the directory (first-writer-wins). Returns the stream
+    /// and whether it came from the store.
+    ///
+    /// The stream is loaded through [`Store::load_checkpoints_covering`]
+    /// (a longer stored window serves a shorter request). On a miss the
+    /// caller races its peers for the shard lock; the winner re-checks
+    /// under the lock (a peer may have published while it waited),
+    /// computes, saves and releases. Losers poll the shard with
+    /// exponential backoff (10 ms doubling, capped at 250 ms) until the
+    /// winner publishes or [`Store::with_lock_wait`]'s deadline passes.
+    ///
+    /// Never fails: a stale or corrupt entry goes through the election
+    /// and the winner heals it; a lock directory that cannot be used,
+    /// or a lock that never frees, computes in memory without saving,
+    /// warns on stderr and reports `false`.
+    pub fn fetch_or_compute_checkpoints(
+        &self,
+        key: &CheckpointKey<'_>,
+        compute: impl FnOnce() -> FastForward,
+    ) -> (FastForward, bool) {
+        let what = format!("checkpoints for {}", key.workload);
+        let name = key.file_name();
+        let m = dca_obs::metrics();
+        match self.load_checkpoints_covering(key) {
+            Ok(v) => {
+                m.store_hits_total.inc();
+                return (v, true);
+            }
+            Err(e) if e.is_not_found() => m.store_misses_total.inc(),
+            Err(e) => {
+                m.store_misses_total.inc();
+                progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
+            }
+        }
+        let wait_t0 = Instant::now();
+        let deadline = wait_t0 + self.lock_wait;
+        let mut backoff = Duration::from_millis(10);
+        let waited_ns = || wait_t0.elapsed().as_nanos() as u64;
+        loop {
+            match self.try_lock(&name) {
+                LockAttempt::Acquired(_guard) => {
+                    m.lock_elections_won_total.inc();
+                    m.lock_wait_ns.record(waited_ns());
+                    match self.load_checkpoints_covering(key) {
+                        Ok(v) => return (v, true),
+                        Err(e) if e.is_not_found() => {}
+                        Err(e) => {
+                            progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
+                        }
+                    }
+                    let v = compute();
+                    if let Err(e) = self.save_checkpoints(key, &v) {
+                        progress::warn(format!("[lab] store: could not save {what}: {e}"));
+                    }
+                    return (v, false);
+                }
+                LockAttempt::Busy => {
+                    // The holder is computing (or healing) this shard:
+                    // poll for its publication, quietly treating
+                    // not-yet-healed errors as misses.
+                    if let Ok(v) = self.load_checkpoints_covering(key) {
+                        m.lock_elections_lost_total.inc();
+                        m.lock_wait_ns.record(waited_ns());
+                        return (v, true);
+                    }
+                    if Instant::now() >= deadline {
+                        // Counted, so a fleet of serve workers wedging
+                        // on one lock is visible in the metrics, not
+                        // just in stderr.
+                        m.lock_deadline_expired_total.inc();
+                        m.lock_wait_ns.record(waited_ns());
+                        progress::warn(format!(
+                            "[lab] store: lock on {name} still held after {:?}; \
+                             computing {what} without the store",
+                            self.lock_wait
+                        ));
+                        return (compute(), false);
+                    }
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(Duration::from_millis(250));
+                }
+                LockAttempt::Unavailable(e) => {
+                    m.lock_wait_ns.record(waited_ns());
+                    progress::warn(format!(
+                        "[lab] store: lock unavailable ({e}); computing {what} without the store"
+                    ));
+                    return (compute(), false);
+                }
+            }
+        }
+    }
+
     /// Persists a combination's per-interval results (a contiguous
     /// checkpoint-order prefix), returning the bytes written.
     ///
@@ -578,6 +647,30 @@ impl Store {
         intervals: &[IntervalRecord],
     ) -> Result<u64, StoreError> {
         self.save(&key.file_name(), FileKind::Results, &results::encode(key, intervals))
+    }
+
+    /// Saves `records` as the stored interval prefix of `key` unless
+    /// the store already holds one at least as long. Concurrent labs
+    /// may decide different adaptive budgets for one combination, so a
+    /// stored prefix never shrinks. One lock attempt, no retry: result
+    /// shards are an optimisation, and a peer holding the lock is
+    /// writing its own prefix anyway. Failures warn on stderr and are
+    /// otherwise ignored.
+    pub fn extend_intervals(&self, key: &ResultKey<'_>, records: &[IntervalRecord]) {
+        match self.try_lock(&key.file_name()) {
+            LockAttempt::Acquired(_guard) => {
+                let stored = self.load_intervals(key).map_or(0, |r| r.len());
+                if stored < records.len() {
+                    if let Err(e) = self.save_intervals(key, records) {
+                        progress::warn(format!("[lab] store: could not save intervals: {e}"));
+                    }
+                }
+            }
+            LockAttempt::Busy => {}
+            LockAttempt::Unavailable(e) => {
+                progress::warn(format!("[lab] store: could not save intervals: {e}"));
+            }
+        }
     }
 
     /// Loads a combination's per-interval results.
@@ -679,7 +772,7 @@ impl Store {
                     .file_name()
                     .map(|n| n.to_string_lossy().into_owned())
                     .unwrap_or_default();
-                match lock::holder(&self.io, &path, self.stale_after) {
+                match lock::holder(&self.io, &path) {
                     Some((info, live)) => {
                         if live {
                             s.live_locks += 1;
@@ -830,7 +923,7 @@ impl Store {
             self.root.join(FileKind::Checkpoints.dir()),
             self.root.join(FileKind::Results.dir()),
         ] {
-            let (n, bytes) = shard::sweep_temps(&self.io, &dir, self.stale_after);
+            let (n, bytes) = shard::sweep_temps(&self.io, &dir);
             report.removed += n;
             report.freed_bytes += bytes;
         }
@@ -843,16 +936,10 @@ impl Store {
         let Ok(locks) = self.io.read_dir(&self.root.join("locks")) else {
             return 0;
         };
-        let mut removed = 0;
-        for (path, _) in locks {
-            let live = lock::holder(&self.io, &path, self.stale_after)
-                .map(|(_, live)| live)
-                .unwrap_or(false);
-            if !live && self.io.remove_file(&path).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
+        locks
+            .iter()
+            .filter(|(path, _)| lock::sweep(&self.io, path))
+            .count() as u64
     }
 }
 
@@ -997,7 +1084,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         // We (a live process) hold the shard's writer lock.
-        let _guard = match store.try_lock(FileKind::Checkpoints, &name) {
+        let _guard = match store.try_lock(&name) {
             LockAttempt::Acquired(g) => g,
             other => panic!("expected lock, got {other:?}"),
         };

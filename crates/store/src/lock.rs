@@ -13,10 +13,14 @@
 //!
 //! Stale locks — left by a writer that died without unlinking — are
 //! detected by owner liveness (`/proc/<pid>` on Linux) with a
-//! timestamp-age fallback, and broken by deleting the lock file and
-//! retrying the exclusive create. The guard's `Drop` re-reads the lock
-//! and only unlinks it when the content is still its own token, so a
-//! broken-and-retaken lock is never stolen back.
+//! timestamp-age fallback, and broken by a rename-based takeover: the
+//! breaker renames the lock to a private name, and deletes it only when
+//! the moved file holds exactly the content it judged stale. Anything
+//! else — a fresh lock a faster breaker created in the meantime — is
+//! put back, so two breakers of one dead lock never both hold it. The
+//! guard's `Drop` re-reads the lock and only unlinks it when the content
+//! is still its own token, so a broken-and-retaken lock is never stolen
+//! back.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +34,8 @@ use crate::io::StoreIo;
 /// authoritative when it works; this bounds the damage when it does
 /// not). This is the **single** staleness threshold of the store: lock
 /// takeover and the orphaned-temp sweep ([`crate::shard::sweep_temps`])
-/// both use it, and [`crate::Store::with_stale_after`] overrides both
-/// together — they cannot drift apart.
-pub const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(600);
+/// both use it, so they cannot drift apart.
+pub const STALE_AFTER: Duration = Duration::from_secs(600);
 
 /// Magic first token of every lock file.
 const LOCK_MAGIC: &str = "DCALOCK1";
@@ -136,7 +139,7 @@ impl Drop for StoreLock {
 
 /// Is this lock's owner live? Liveness probe first, timestamp age as
 /// the fallback when probing is impossible.
-fn holder_live(info: &LockInfo, mtime: Option<SystemTime>, stale_after: Duration) -> bool {
+fn holder_live(info: &LockInfo, mtime: Option<SystemTime>) -> bool {
     if let Some(alive) = pid_alive(info.pid) {
         return alive;
     }
@@ -147,19 +150,77 @@ fn holder_live(info: &LockInfo, mtime: Option<SystemTime>, stale_after: Duration
         mtime.and_then(|m| SystemTime::now().duration_since(m).ok())
     });
     match age {
-        Some(a) => a < stale_after,
+        Some(a) => a < STALE_AFTER,
         None => true, // unknowable: presume live, never steal
+    }
+}
+
+/// Parses the lock at `path`, read as `bytes`, with whether its owner
+/// is live. `None` on garbage content.
+fn judge(io: &Arc<dyn StoreIo>, path: &Path, bytes: &[u8]) -> Option<(LockInfo, bool)> {
+    let info = parse(bytes)?;
+    let mtime = io.metadata(path).ok().and_then(|(_, m)| m);
+    let live = holder_live(&info, mtime);
+    Some((info, live))
+}
+
+/// Is the lock at `path`, read as `bytes`, abandoned? Garbage content
+/// is; parsed content is when its owner is not live.
+fn is_stale(io: &Arc<dyn StoreIo>, path: &Path, bytes: &[u8]) -> bool {
+    !judge(io, path, bytes).is_some_and(|(_, live)| live)
+}
+
+/// What [`break_stale`] found at the lock path.
+#[derive(Debug, PartialEq, Eq)]
+enum Takeover {
+    /// The judged lock was there, and this call deleted it.
+    Broken,
+    /// The path was already empty: a peer moved the lock away first.
+    Gone,
+    /// The path held another lock, which stays in place.
+    Held,
+}
+
+/// Breaks the lock at `path` that its caller read as `judged` and found
+/// stale.
+///
+/// A plain unlink here would race a second breaker of the same dead
+/// lock: the faster one unlinks it and creates its own fresh lock, and
+/// the slower one then unlinks *that*. So the breaker renames the lock
+/// to a private name first (only one breaker can move any given file)
+/// and deletes the moved file only when it is still the content it
+/// judged; a fresh lock it moved by mistake goes back, with its
+/// content, under an exclusive create.
+fn break_stale(io: &Arc<dyn StoreIo>, path: &Path, judged: &[u8]) -> Takeover {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("lock");
+    let aside = path.with_file_name(crate::shard::temp_name(name));
+    match io.rename(path, &aside) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Takeover::Gone,
+        Err(_) => return Takeover::Held,
+    }
+    match io.read(&aside) {
+        Ok(moved) if moved == judged => {
+            dca_obs::metrics().lock_takeovers_total.inc();
+            let _ = io.remove_file(&aside);
+            Takeover::Broken
+        }
+        Ok(moved) => {
+            let _ = io.create_exclusive(path, &moved);
+            let _ = io.remove_file(&aside);
+            Takeover::Held
+        }
+        Err(_) => {
+            let _ = io.rename(&aside, path);
+            Takeover::Held
+        }
     }
 }
 
 /// One non-blocking attempt to take the lock at `path` (the parent
 /// directory must already exist). Detects and breaks stale locks:
 /// owner provably dead, or unparseable/ancient content.
-pub(crate) fn try_acquire(
-    io: &Arc<dyn StoreIo>,
-    path: &Path,
-    stale_after: Duration,
-) -> LockAttempt {
+pub(crate) fn try_acquire(io: &Arc<dyn StoreIo>, path: &Path) -> LockAttempt {
     let token = make_token();
     // Two rounds: the second only after breaking a stale lock (or when
     // the holder vanished between our probe and our create).
@@ -176,14 +237,8 @@ pub(crate) fn try_acquire(
                 if round == 1 {
                     return LockAttempt::Busy;
                 }
-                let stale = match io.read(path) {
-                    Ok(bytes) => {
-                        let mtime = io.metadata(path).ok().and_then(|(_, m)| m);
-                        match parse(&bytes) {
-                            Some(info) => !holder_live(&info, mtime, stale_after),
-                            None => true, // garbage content: abandoned
-                        }
-                    }
+                let judged = match io.read(path) {
+                    Ok(bytes) => bytes,
                     // Holder released between create and read — the
                     // path is free now, go straight to round 2. Never
                     // unlink here: a peer may already have re-created
@@ -191,18 +246,14 @@ pub(crate) fn try_acquire(
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                     Err(e) => return LockAttempt::Unavailable(e.to_string()),
                 };
-                if !stale {
+                // Between the break and our create another process may
+                // take the free path — then round 2 reports Busy, which
+                // is correct (someone *live* holds it).
+                let freed =
+                    is_stale(io, path, &judged) && break_stale(io, path, &judged) != Takeover::Held;
+                if !freed {
                     return LockAttempt::Busy;
                 }
-                // Takeover: unlink the stale lock, retry the create.
-                // Between our unlink and our create another process may
-                // do the same and win — then round 2 reports Busy,
-                // which is correct (someone *live* holds it). One
-                // window remains: two breakers of the *same* dead lock,
-                // where the slower unlinks the faster's fresh lock; it
-                // needs a dead owner, and costs one duplicate compute.
-                dca_obs::metrics().lock_takeovers_total.inc();
-                let _ = io.remove_file(path);
             }
             Err(e) => return LockAttempt::Unavailable(e.to_string()),
         }
@@ -210,18 +261,20 @@ pub(crate) fn try_acquire(
     LockAttempt::Busy
 }
 
+/// Removes the lock at `path` if it is abandoned (the gc sweep), by the
+/// same takeover as [`try_acquire`]. Returns whether this call removed
+/// it.
+pub(crate) fn sweep(io: &Arc<dyn StoreIo>, path: &Path) -> bool {
+    let Ok(bytes) = io.read(path) else {
+        return false;
+    };
+    is_stale(io, path, &bytes) && break_stale(io, path, &bytes) == Takeover::Broken
+}
+
 /// Reads who holds the lock at `path`, and whether that owner is live.
 /// `None` when the lock does not exist or cannot be read.
-pub(crate) fn holder(
-    io: &Arc<dyn StoreIo>,
-    path: &Path,
-    stale_after: Duration,
-) -> Option<(LockInfo, bool)> {
-    let bytes = io.read(path).ok()?;
-    let info = parse(&bytes)?;
-    let mtime = io.metadata(path).ok().and_then(|(_, m)| m);
-    let live = holder_live(&info, mtime, stale_after);
-    Some((info, live))
+pub(crate) fn holder(io: &Arc<dyn StoreIo>, path: &Path) -> Option<(LockInfo, bool)> {
+    judge(io, path, &io.read(path).ok()?)
 }
 
 #[cfg(test)]
@@ -254,25 +307,19 @@ mod tests {
         let d = arena("cycle");
         let p = d.join("s.lock");
         let io = io();
-        let g = match try_acquire(&io, &p, DEFAULT_STALE_AFTER) {
+        let g = match try_acquire(&io, &p) {
             LockAttempt::Acquired(g) => g,
             other => panic!("expected acquire, got {other:?}"),
         };
         assert!(p.exists());
         // Same live pid (us) holds it: busy.
-        assert!(matches!(
-            try_acquire(&io, &p, DEFAULT_STALE_AFTER),
-            LockAttempt::Busy
-        ));
-        let (info, live) = holder(&io, &p, DEFAULT_STALE_AFTER).unwrap();
+        assert!(matches!(try_acquire(&io, &p), LockAttempt::Busy));
+        let (info, live) = holder(&io, &p).unwrap();
         assert_eq!(info.pid, std::process::id());
         assert!(live);
         drop(g);
         assert!(!p.exists(), "drop releases");
-        assert!(matches!(
-            try_acquire(&io, &p, DEFAULT_STALE_AFTER),
-            LockAttempt::Acquired(_)
-        ));
+        assert!(matches!(try_acquire(&io, &p), LockAttempt::Acquired(_)));
     }
 
     #[test]
@@ -282,9 +329,9 @@ mod tests {
         let io = io();
         // A pid far beyond any real pid space: provably dead on Linux.
         std::fs::write(&p, b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
-        match try_acquire(&io, &p, DEFAULT_STALE_AFTER) {
+        match try_acquire(&io, &p) {
             LockAttempt::Acquired(g) => {
-                let (info, live) = holder(&io, &p, DEFAULT_STALE_AFTER).unwrap();
+                let (info, live) = holder(&io, &p).unwrap();
                 assert_eq!(info.pid, std::process::id());
                 assert!(live);
                 drop(g);
@@ -299,10 +346,7 @@ mod tests {
         let p = d.join("s.lock");
         let io = io();
         std::fs::write(&p, b"not a lock at all").unwrap();
-        assert!(matches!(
-            try_acquire(&io, &p, DEFAULT_STALE_AFTER),
-            LockAttempt::Acquired(_)
-        ));
+        assert!(matches!(try_acquire(&io, &p), LockAttempt::Acquired(_)));
     }
 
     #[test]
@@ -310,7 +354,7 @@ mod tests {
         let d = arena("steal");
         let p = d.join("s.lock");
         let io = io();
-        let g = match try_acquire(&io, &p, DEFAULT_STALE_AFTER) {
+        let g = match try_acquire(&io, &p) {
             LockAttempt::Acquired(g) => g,
             other => panic!("{other:?}"),
         };
@@ -321,14 +365,19 @@ mod tests {
         assert_eq!(parse(&std::fs::read(&p).unwrap()).unwrap().pid, 999999998);
     }
 
-    /// Sees every file as already gone on read — the holder released
-    /// between a failed create and the read that follows it.
-    #[derive(Debug)]
-    struct ReadsVanished;
+    /// The real filesystem with a scripted `read`: deterministic
+    /// interleavings of racing lock takers.
+    struct ScriptedRead<F>(F);
 
-    impl StoreIo for ReadsVanished {
-        fn read(&self, _: &Path) -> std::io::Result<Vec<u8>> {
-            Err(std::io::ErrorKind::NotFound.into())
+    impl<F> std::fmt::Debug for ScriptedRead<F> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("ScriptedRead")
+        }
+    }
+
+    impl<F: Fn(&Path) -> std::io::Result<Vec<u8>> + Send + Sync> StoreIo for ScriptedRead<F> {
+        fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
+            (self.0)(p)
         }
         fn write_all(&self, p: &Path, b: &[u8]) -> std::io::Result<()> {
             RealIo.write_all(p, b)
@@ -359,20 +408,76 @@ mod tests {
     fn vanished_holder_never_unlinks_a_peers_lock() {
         let d = arena("vanished");
         let p = d.join("s.lock");
-        let _peer = match try_acquire(&io(), &p, DEFAULT_STALE_AFTER) {
+        let _peer = match try_acquire(&io(), &p) {
             LockAttempt::Acquired(g) => g,
             other => panic!("{other:?}"),
         };
-        let racing: Arc<dyn StoreIo> = Arc::new(ReadsVanished);
-        assert!(matches!(
-            try_acquire(&racing, &p, DEFAULT_STALE_AFTER),
-            LockAttempt::Busy
-        ));
+        let racing: Arc<dyn StoreIo> =
+            Arc::new(ScriptedRead(|_: &Path| Err(std::io::ErrorKind::NotFound.into())));
+        assert!(matches!(try_acquire(&racing, &p), LockAttempt::Busy));
         assert_eq!(
             parse(&std::fs::read(&p).unwrap()).unwrap().pid,
             std::process::id(),
             "the peer's lock is intact"
         );
+    }
+
+    /// Two breakers of one dead lock: ours reads the dead content, then
+    /// — before it acts on what it read — a peer breaks the same lock
+    /// and takes it. Returns our I/O and the peer's guard (set once the
+    /// script has run).
+    fn peer_breaks_after_our_read(
+        p: &Path,
+    ) -> (Arc<dyn StoreIo>, Arc<std::sync::Mutex<Option<StoreLock>>>) {
+        std::fs::write(p, b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
+        let peer = Arc::new(std::sync::Mutex::new(None));
+        let (lock, slot) = (p.to_path_buf(), Arc::clone(&peer));
+        let ours = ScriptedRead(move |path: &Path| {
+            let bytes = RealIo.read(path)?;
+            let mut slot = slot.lock().unwrap();
+            if path == lock && slot.is_none() {
+                match try_acquire(&io(), path) {
+                    LockAttempt::Acquired(g) => *slot = Some(g),
+                    other => panic!("the peer could not break the dead lock: {other:?}"),
+                }
+            }
+            Ok(bytes)
+        });
+        (Arc::new(ours), peer)
+    }
+
+    /// The slower breaker of a dead lock finds the faster one's fresh
+    /// lock where the dead one was: it must leave it in place and
+    /// report Busy, not take it over as well.
+    #[test]
+    fn second_breaker_of_a_dead_lock_leaves_the_first_ones_lock() {
+        let d = arena("double-takeover");
+        let p = d.join("s.lock");
+        let (ours, peer) = peer_breaks_after_our_read(&p);
+        assert!(matches!(try_acquire(&ours, &p), LockAttempt::Busy));
+        let guard = peer.lock().unwrap().take().expect("the script ran");
+        assert_eq!(std::fs::read(&p).unwrap(), guard.token.as_bytes(), "peer still holds it");
+        let names: Vec<_> = std::fs::read_dir(&d).unwrap().flatten().map(|e| e.file_name()).collect();
+        assert_eq!(names, ["s.lock"], "nothing left aside");
+        drop(guard);
+        assert!(!p.exists(), "the peer's guard still releases its lock");
+    }
+
+    /// The gc sweep judges a lock by the same rule: a dead lock a peer
+    /// broke and re-took after the sweep read it survives the sweep.
+    #[test]
+    fn sweep_leaves_a_lock_retaken_after_its_read() {
+        let d = arena("sweep-retaken");
+        let p = d.join("s.lock");
+        let (ours, peer) = peer_breaks_after_our_read(&p);
+        assert!(!sweep(&ours, &p));
+        let guard = peer.lock().unwrap().take().expect("the script ran");
+        assert_eq!(std::fs::read(&p).unwrap(), guard.token.as_bytes());
+        // A dead lock nobody races for is swept.
+        drop(guard);
+        std::fs::write(&p, b"DCALOCK1 pid=999999999 ts=0 seq=0\n").unwrap();
+        assert!(sweep(&io(), &p));
+        assert!(!p.exists());
     }
 
     /// Racing acquirers never hold the lock together: neither a lock
@@ -388,7 +493,7 @@ mod tests {
                 s.spawn(|| {
                     let io = io();
                     for _ in 0..500 {
-                        if let LockAttempt::Acquired(g) = try_acquire(&io, &p, DEFAULT_STALE_AFTER) {
+                        if let LockAttempt::Acquired(g) = try_acquire(&io, &p) {
                             let before = holders.fetch_add(1, Ordering::SeqCst);
                             std::thread::yield_now();
                             holders.fetch_sub(1, Ordering::SeqCst);
@@ -405,9 +510,6 @@ mod tests {
     fn missing_lock_dir_is_unavailable() {
         let d = arena("nodir");
         let p = d.join("absent-subdir").join("s.lock");
-        assert!(matches!(
-            try_acquire(&io(), &p, DEFAULT_STALE_AFTER),
-            LockAttempt::Unavailable(_)
-        ));
+        assert!(matches!(try_acquire(&io(), &p), LockAttempt::Unavailable(_)));
     }
 }

@@ -299,15 +299,10 @@ pub fn write_shard(
 /// Removes orphaned `.tmp-*` files from `dir`: temps whose owner pid
 /// is provably dead (or unknowable), and legacy pid-less temps. Temps
 /// of live processes — a concurrent writer mid-save — are left alone.
-/// `stale_after` bounds the pid-unknowable fallback (callers pass the
-/// store's staleness threshold, [`crate::lock::DEFAULT_STALE_AFTER`]
-/// by default — one constant for locks and temps alike).
-/// Returns `(files removed, bytes freed)`. Missing directory ⇒ 0.
-pub fn sweep_temps(
-    io: &Arc<dyn StoreIo>,
-    dir: &Path,
-    stale_after: std::time::Duration,
-) -> (u64, u64) {
+/// [`crate::lock::STALE_AFTER`] bounds the pid-unknowable fallback —
+/// one constant for locks and temps alike. Returns `(files removed,
+/// bytes freed)`. Missing directory ⇒ 0.
+pub fn sweep_temps(io: &Arc<dyn StoreIo>, dir: &Path) -> (u64, u64) {
     let Ok(entries) = io.read_dir(dir) else {
         return (0, 0);
     };
@@ -328,7 +323,7 @@ pub fn sweep_temps(
                     .ok()
                     .and_then(|(_, m)| m)
                     .and_then(|m| std::time::SystemTime::now().duration_since(m).ok())
-                    .is_none_or(|age| age < stale_after)
+                    .is_none_or(|age| age < crate::lock::STALE_AFTER)
             }),
             None => true, // pid-less legacy temp: always orphaned
         };
@@ -472,7 +467,7 @@ mod tests {
         std::fs::write(&dead, b"orphan").unwrap();
         let legacy = d.join(".tmp-ck_old.dcc");
         std::fs::write(&legacy, b"pid-less").unwrap();
-        let (removed, freed) = sweep_temps(&io(), &d, crate::lock::DEFAULT_STALE_AFTER);
+        let (removed, freed) = sweep_temps(&io(), &d);
         assert_eq!(removed, 2);
         assert!(freed > 0);
         assert!(mine.exists(), "live-pid temp kept");

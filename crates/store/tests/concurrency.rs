@@ -2,15 +2,20 @@
 //! standing in for separate processes — hammer one directory with
 //! mixed readers, writers, verifiers and collectors, and the store
 //! must stay byte-consistent throughout: a reader sees a complete old
-//! shard, a complete new shard, or a miss; never corruption. The lock
-//! protocol must elect exactly one computer per shard
-//! (first-writer-wins), and dead-owner locks must be taken over.
+//! shard, a complete new shard, or a miss; never corruption. The
+//! sharing protocol must elect exactly one computer per shard
+//! (first-writer-wins), degrade when a lock never frees, never shrink
+//! a stored interval prefix, and take dead-owner locks over.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dca_prog::{fast_forward, parse_asm, Memory};
-use dca_store::{CheckpointKey, FileKind, FileStatus, LockAttempt, Store, StoreError};
+use dca_store::io::{FaultIo, FaultKind, FaultPlan};
+use dca_store::{
+    CheckpointKey, FileStatus, IntervalRecord, LockAttempt, ResultKey, Store, StoreError,
+};
 
 fn arena(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("dca-store-conc-{name}"));
@@ -76,45 +81,25 @@ fn unlocked_racing_writers_never_corrupt_a_reader() {
     }
 }
 
-/// The Lab's writer-election loop, at store level: ≥4 workers race for
-/// one cold shard through `try_lock`; exactly one computes, everyone
-/// ends with identical content.
+/// The checkpoint election: 6 handles race for one cold shard through
+/// [`Store::fetch_or_compute_checkpoints`]; exactly one computes,
+/// everyone ends with identical content, and no lock outlives it.
 #[test]
 fn lock_protocol_elects_exactly_one_computer() {
     let dir = arena("elect");
-    Store::open(&dir); // pre-create nothing; each worker opens its own
     let computes = AtomicU64::new(0);
     let content = stream(40);
-    let name = key("elected").file_name();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 s.spawn(|| {
-                    let store = Store::open(&dir);
-                    let deadline = Instant::now() + Duration::from_secs(30);
-                    loop {
-                        if let Ok(got) = store.load_checkpoints(&key("elected")) {
-                            return got.checkpoints.len();
-                        }
-                        match store.try_lock(FileKind::Checkpoints, &name) {
-                            LockAttempt::Acquired(_guard) => {
-                                // Re-check under the lock (a peer may
-                                // have published while we waited).
-                                if let Ok(got) = store.load_checkpoints(&key("elected")) {
-                                    return got.checkpoints.len();
-                                }
-                                computes.fetch_add(1, Ordering::SeqCst);
-                                std::thread::sleep(Duration::from_millis(30)); // "compute"
-                                store.save_checkpoints(&key("elected"), &content).unwrap();
-                                return content.checkpoints.len();
-                            }
-                            LockAttempt::Busy => {
-                                assert!(Instant::now() < deadline, "lock never released");
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            LockAttempt::Unavailable(e) => panic!("lock dir unusable: {e}"),
-                        }
-                    }
+                    let store = Store::open(&dir); // own handle, like a process
+                    let (got, _) = store.fetch_or_compute_checkpoints(&key("elected"), || {
+                        computes.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(30)); // "compute"
+                        content.clone()
+                    });
+                    got.checkpoints.len()
                 })
             })
             .collect();
@@ -125,6 +110,87 @@ fn lock_protocol_elects_exactly_one_computer() {
     assert_eq!(computes.load(Ordering::SeqCst), 1, "first-writer-wins: one compute");
     // The winner's guard released its lock on drop.
     assert_eq!(Store::open(&dir).stat().live_locks, 0);
+}
+
+/// A permanently held shard lock (live owner that never publishes)
+/// expires the lock-wait deadline into in-memory compute with
+/// `from_store = false` and a counted metric — never an error, never a
+/// hung run. The contender runs through a `FaultIo` store (armed,
+/// non-firing plan), the injection layer of the crash sweeps.
+#[test]
+fn permanently_held_lock_degrades_with_a_counted_metric() {
+    let dir = arena("held-lock");
+    let name = key("wedged").file_name();
+    // The wedged peer: holds the shard lock from a live pid (ours) and
+    // never releases it.
+    let holder = Store::open(&dir);
+    let _guard = match holder.try_lock(&name) {
+        LockAttempt::Acquired(g) => g,
+        other => panic!("could not stage the held lock: {other:?}"),
+    };
+
+    let m = dca_obs::metrics();
+    let expired_before = m.lock_deadline_expired_total.get();
+    let io = Arc::new(FaultIo::new(FaultPlan::fail_at(u64::MAX, FaultKind::Fail)));
+    let store = Store::open_with_io(&dir, io).with_lock_wait(Duration::from_millis(300));
+    let content = stream(40);
+    let computes = AtomicU64::new(0);
+    let (got, from_store) = store.fetch_or_compute_checkpoints(&key("wedged"), || {
+        computes.fetch_add(1, Ordering::SeqCst);
+        content.clone()
+    });
+    assert!(!from_store, "deadline loser reports from_store = false");
+    assert_eq!(computes.load(Ordering::SeqCst), 1);
+    assert_eq!(got.checkpoints.len(), content.checkpoints.len());
+    assert!(
+        m.lock_deadline_expired_total.get() > expired_before,
+        "the expiry is counted, not just logged"
+    );
+    // The loser computed without the lock, so it must not have
+    // published the shard behind the holder's back.
+    assert!(
+        store.load_checkpoints(&key("wedged")).unwrap_err().is_not_found(),
+        "no shard written without holding its lock"
+    );
+}
+
+/// A stored interval prefix never shrinks: concurrent labs may decide
+/// different adaptive budgets for one combination, and the shorter
+/// save must not replace the longer one.
+#[test]
+fn stored_interval_prefix_survives_a_shorter_extend() {
+    let dir = arena("never-shrink");
+    let store = Store::open(&dir);
+    let rkey = ResultKey {
+        workload: "compress",
+        scale: "smoke",
+        machine: "clustered",
+        geometry: 1,
+        scheme: "Modulo",
+        period: 25,
+        warmup: 5,
+        interval: 5,
+        max_insts: 1000,
+        warm_steering: false,
+        continuous_warming: true,
+        fingerprint: 9,
+    };
+    let records = |n: u64| -> Vec<IntervalRecord> {
+        (0..n)
+            .map(|i| IntervalRecord {
+                warmed_insts: i,
+                ..IntervalRecord::default()
+            })
+            .collect()
+    };
+    store.extend_intervals(&rkey, &records(5));
+    store.extend_intervals(&rkey, &records(3));
+    let stored = store.load_intervals(&rkey).unwrap();
+    assert_eq!(stored.len(), 5, "the longer prefix survives");
+    // A longer prefix still extends it.
+    store.extend_intervals(&rkey, &records(7));
+    assert_eq!(store.load_intervals(&rkey).unwrap().len(), 7);
+    assert_eq!(store.stat().live_locks, 0);
 }
 
 /// A lock whose owner died (pid provably gone) is taken over rather
@@ -142,7 +208,7 @@ fn dead_owner_lock_is_taken_over() {
     )
     .unwrap();
     assert_eq!(store.stat().stale_locks, 1);
-    match store.try_lock(FileKind::Checkpoints, &name) {
+    match store.try_lock(&name) {
         LockAttempt::Acquired(_g) => {}
         other => panic!("expected takeover of dead-owner lock, got {other:?}"),
     }

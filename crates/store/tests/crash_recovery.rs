@@ -323,7 +323,7 @@ fn dead_filesystem_never_panics() {
     store.stat();
     store.gc();
     assert!(matches!(
-        store.try_lock(FileKind::Checkpoints, "x.dcc"),
+        store.try_lock("x.dcc"),
         dca_store::LockAttempt::Unavailable(_)
     ));
 }
