@@ -30,8 +30,9 @@ use dca_sim::{ContinuousWarmer, MachineDesc, SimConfig, SimStats, Simulator, Ste
 use dca_uarch::UarchSnapshot;
 use dca_store::{CheckpointKey, IntervalRecord, ResultKey, Store};
 use dca_steer::{
-    FifoSteering, GeneralBalance, Modulo, Naive, NonSliceBalance, PrioritySliceBalance,
-    SliceBalance, SliceKind, SliceSteering, StaticPartition,
+    FifoSteering, GeneralBalance, ImbalanceConfig, ImbalanceMetric, Modulo, Naive,
+    NonSliceBalance, PrioritySliceBalance, SliceBalance, SliceKind, SliceSteering,
+    StaticPartition,
 };
 use dca_workloads::Workload;
 
@@ -148,9 +149,19 @@ pub enum SchemeKind {
     BrPriority,
     GeneralBalance,
     Fifo,
+    /// LdSt non-slice balance steering weighing imbalance metric I1
+    /// alone (the §3.5 metric ablation; [`SchemeKind::LdStNonSliceBalance`]
+    /// is the I1+I2 combination).
+    LdStNonSliceI1,
+    /// LdSt non-slice balance steering weighing imbalance metric I2
+    /// alone.
+    LdStNonSliceI2,
 }
 
-/// All scheme kinds, in presentation order.
+/// The paper's scheme kinds, in presentation order: what `dca compare`,
+/// `dca list` and `--scheme` offer. The metric-ablation variants
+/// [`SchemeKind::LdStNonSliceI1`] and [`SchemeKind::LdStNonSliceI2`]
+/// exist only for `figures ablate_imbalance`.
 pub const ALL_SCHEMES: [SchemeKind; 13] = [
     SchemeKind::Naive,
     SchemeKind::Modulo,
@@ -184,6 +195,8 @@ impl SchemeKind {
             SchemeKind::BrPriority => "Br p. slice",
             SchemeKind::GeneralBalance => "General bal.",
             SchemeKind::Fifo => "FIFO-based",
+            SchemeKind::LdStNonSliceI1 => "LdSt non-slice (I1)",
+            SchemeKind::LdStNonSliceI2 => "LdSt non-slice (I2)",
         }
     }
 
@@ -207,6 +220,8 @@ impl SchemeKind {
             SchemeKind::BrPriority => Box::new(PrioritySliceBalance::new(SliceKind::Br)),
             SchemeKind::GeneralBalance => Box::new(GeneralBalance::new()),
             SchemeKind::Fifo => Box::new(FifoSteering::paper()),
+            SchemeKind::LdStNonSliceI1 => ldst_non_slice(ImbalanceMetric::I1Only),
+            SchemeKind::LdStNonSliceI2 => ldst_non_slice(ImbalanceMetric::I2Only),
         }
     }
 
@@ -226,6 +241,8 @@ impl SchemeKind {
             SchemeKind::BrPriority => "br-priority",
             SchemeKind::GeneralBalance => "general",
             SchemeKind::Fifo => "fifo",
+            SchemeKind::LdStNonSliceI1 => "ldst-nonslice-i1",
+            SchemeKind::LdStNonSliceI2 => "ldst-nonslice-i2",
         }
     }
 
@@ -248,6 +265,15 @@ impl SchemeKind {
     fn key(self) -> String {
         format!("{self:?}")
     }
+}
+
+/// LdSt non-slice balance steering under one imbalance metric.
+fn ldst_non_slice(metric: ImbalanceMetric) -> Box<dyn Steering> {
+    let cfg = ImbalanceConfig {
+        metric,
+        ..ImbalanceConfig::default()
+    };
+    Box::new(NonSliceBalance::with_config(SliceKind::LdSt, cfg))
 }
 
 /// One simulation request: `(benchmark, machine, scheme)` — the unit

@@ -27,7 +27,7 @@ fn usage() -> &'static str {
 
 USAGE:
     dca run     [--bench NAME | --kernel NAME | --asm FILE] [--scheme NAME]
-                [--machine NAME] [--clusters N | --geometry SPEC]
+                [--machine NAME] [--geometry SPEC]
                 [--scale smoke|default|full|paper] [--max-insts N]
                 [--trace N] [--pipe FROM:TO]
     dca compare [--bench NAME|all] [--schemes a,b,...] [--scale ...]
@@ -92,13 +92,16 @@ address; `--figure ID -- --scale paper ...` forwards everything after
 `--` as harness options, --json prints the serving summary as JSON on
 stdout; --ping, --stats and --shutdown probe and manage the daemon.
 
-Machines: base | clustered | one-bus | ub | homo<N> | hetero4
-`--clusters N` simulates N copies of the paper's cluster (shorthand for
---machine homoN). `--geometry SPEC` builds an arbitrary machine: a
-preset (homo2|homo4|homo8|hetero4) or comma-separated cluster specs
-`i<issue>q<iq>r<regs>[a<alus>][m][f]` (m = load/store pipe, f = FP
-units), with an optional `@line` suffix for a line topology, e.g.
-`--geometry i4q64r96a3mf,i2q32r48a2,i2q32r48a2@line`.
+Machines: base | clustered | one-bus | ub | homo<N> (N in 2..=8) | hetero4
+`--geometry SPEC` builds an arbitrary machine on the --machine preset's
+caches, predictor and front end: a preset geometry
+(homo2|homo4|homo8|hetero4) or comma-separated cluster specs
+`i<issue>q<iq>r<regs>[a<alus>][m][f]` (a = simple integer ALUs, default
+3; m = an integer mul/div unit; f = FP units), with an optional `@line`
+suffix for a line topology, e.g.
+`--geometry i4q64r96a3mf,i2q32r48a2,i2q32r48a2@line`. The base preset
+has no inter-cluster bypasses, so it takes only geometries whose
+integer code all runs in cluster 0.
 Run `dca list` for benchmark and scheme names."
 }
 
@@ -229,7 +232,6 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
     let asm = flags.take("--asm");
     let scheme = SchemeKind::from_name(&flags.take("--scheme").unwrap_or_else(|| "general".into()))?;
     let machine = Machine::from_name(&flags.take("--machine").unwrap_or_else(|| "clustered".into()))?;
-    let clusters = flags.take("--clusters");
     let geometry = flags.take("--geometry");
     let trace_cap: usize = match flags.take("--trace") {
         Some(v) => v.parse().map_err(|_| "--trace needs a number")?,
@@ -238,18 +240,17 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
     let pipe = flags.take("--pipe");
     flags.finish("run")?;
 
-    let cfg = match (clusters, geometry) {
-        (Some(_), Some(_)) => {
-            return Err("--clusters and --geometry are mutually exclusive".into())
+    // The header and manifest name what was simulated: the preset, or
+    // the geometry built on it (whose substrates — caches, predictor,
+    // front end — come from the preset).
+    let (cfg, header_machine, manifest_machine) = match geometry {
+        Some(spec) => {
+            let cfg = dca_sim::MachineDesc::parse(&spec)
+                .and_then(|desc| desc.apply(&machine.config()))
+                .map_err(|e| format!("--geometry {spec}: {e}"))?;
+            (cfg, spec.clone(), spec)
         }
-        (Some(n), None) => {
-            let n: usize = n.parse().map_err(|_| "--clusters needs a number")?;
-            dca_sim::SimConfig::n_clustered(n)?
-        }
-        // The spec's substrates (caches, predictor, front end) come
-        // from the selected --machine preset.
-        (None, Some(spec)) => dca_sim::MachineDesc::parse(&spec)?.apply(&machine.config())?,
-        (None, None) => machine.config(),
+        None => (machine.config(), format!("{machine:?}"), machine.key()),
     };
     let (name, prog, mem, fingerprint) =
         load_program(bench.as_deref(), kernel.as_deref(), asm.as_deref(), opts.scale)?;
@@ -263,7 +264,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
     let sim_secs = t0.elapsed().as_secs_f64();
     println!(
         "{}",
-        report::run_report(&name, machine, scheme.label(), &stats)
+        report::run_report(&name, &header_machine, scheme.label(), &stats)
     );
     if let Some(trace) = sim.take_trace() {
         println!("{}", trace.render_table());
@@ -277,7 +278,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
     } else if pipe.is_some() {
         return Err("--pipe needs --trace N".into());
     }
-    save_run_manifest(&opts, &name, machine, scheme, fingerprint, sim_secs);
+    save_run_manifest(&opts, &name, &manifest_machine, scheme, fingerprint, sim_secs);
     opts.write_observability();
     Ok(())
 }
@@ -289,7 +290,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
 fn save_run_manifest(
     opts: &RunOpts,
     program: &str,
-    machine: Machine,
+    machine: &str,
     scheme: SchemeKind,
     fingerprint: Option<u64>,
     sim_secs: f64,
@@ -303,7 +304,7 @@ fn save_run_manifest(
             u64::from(dca_store::file::FORMAT_VERSION),
         )
         .set_str("program", program)
-        .set_str("machine", machine.key())
+        .set_str("machine", machine)
         .set_str("scheme", scheme.name())
         .set_str("scale", opts.scale.name())
         .set_u64("max_insts", opts.max_insts);

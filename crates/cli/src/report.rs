@@ -1,16 +1,15 @@
 //! Human-readable reports assembled from library results.
 
-use dca_bench::Machine;
 use dca_prog::{br_slice, ldst_slice, Program, Rdg};
 use dca_sim::SimStats;
 
 /// One-run summary: the counters a SimpleScalar user expects, grouped.
-pub fn run_report(name: &str, machine: Machine, scheme: &str, s: &SimStats) -> String {
+pub fn run_report(name: &str, machine: &str, scheme: &str, s: &SimStats) -> String {
     let mut out = String::new();
     let p = |out: &mut String, k: &str, v: String| {
         out.push_str(&format!("  {k:<26} {v}\n"));
     };
-    out.push_str(&format!("== {name} on {machine:?} under {scheme} ==\n"));
+    out.push_str(&format!("== {name} on {machine} under {scheme} ==\n"));
     p(&mut out, "cycles", s.cycles.to_string());
     p(&mut out, "instructions committed", s.committed.to_string());
     p(&mut out, "IPC", format!("{:.3}", s.ipc()));
@@ -126,7 +125,7 @@ mod tests {
             copies: 10,
             ..SimStats::default()
         };
-        let r = run_report("li", Machine::Clustered, "General bal.", &s);
+        let r = run_report("li", "Clustered", "General bal.", &s);
         assert!(r.contains("li on Clustered under General bal."));
         assert!(r.contains("2.500"), "IPC rendered");
         assert!(r.contains("10 (0)"), "copies rendered");

@@ -26,12 +26,12 @@ fn counter(prom: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("{name} missing:\n{prom}"))
 }
 
-/// A small sampled `figures sampling` run against `store`: big enough
+/// A small sampled `figures <figure>` run against `store`: big enough
 /// to persist checkpoint and result shards, small enough for seconds.
-fn small_sampling_args(store: &Path) -> Vec<String> {
+fn small_sampling_args(figure: &str, store: &Path) -> Vec<String> {
     let mut args: Vec<String> = [
         "figures",
-        "sampling",
+        figure,
         "--scale",
         "smoke",
         "--max-insts",
@@ -229,6 +229,11 @@ fn error_paths_fail_with_diagnostics() {
         (&["figures", "sampling", "--sample-period", "0"], "--sample-period must be non-zero"),
         (&["run", "--bench", "li", "--machine", "homo9", "--scale", "smoke"], "cluster count 9 outside 2..=8"),
         (&["run", "--bench", "li", "--machine", "homo1", "--scale", "smoke"], "cluster count 1 outside 2..=8"),
+        (
+            &["run", "--bench", "li", "--machine", "base", "--geometry", "hetero4", "--scale", "smoke"],
+            "--geometry hetero4: cluster 1 has integer units",
+        ),
+        (&["run", "--bench", "li", "--clusters", "4", "--scale", "smoke"], "unrecognised arguments"),
     ];
     for (args, needle) in cases {
         let o = dca(args);
@@ -284,7 +289,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
     let plain = base.join("plain");
     std::fs::create_dir_all(&plain).unwrap();
     let o = Command::new(env!("CARGO_BIN_EXE_dca"))
-        .args(small_sampling_args(&plain.join("store")))
+        .args(small_sampling_args("sampling", &plain.join("store")))
         .current_dir(&plain)
         .output()
         .expect("binary runs");
@@ -293,7 +298,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
     // Instrumented run: spans + metrics on, everything else equal.
     let traced = base.join("traced");
     std::fs::create_dir_all(&traced).unwrap();
-    let mut args = small_sampling_args(&traced.join("store"));
+    let mut args = small_sampling_args("sampling", &traced.join("store"));
     args.extend(
         ["--trace-out", "obs/trace.json", "--metrics-out", "obs/metrics.prom"]
             .map(String::from),
@@ -427,7 +432,7 @@ fn concurrent_processes_share_one_store() {
     let run_in = |wd: &Path, store: &Path| {
         std::fs::create_dir_all(wd).unwrap();
         Command::new(env!("CARGO_BIN_EXE_dca"))
-            .args(small_sampling_args(store))
+            .args(small_sampling_args("sampling", store))
             .args(["-q", "--metrics-out"])
             .arg(wd.join("metrics.prom"))
             .current_dir(wd)
@@ -473,6 +478,37 @@ fn concurrent_processes_share_one_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `figures ablate_imbalance` goes through the Lab like every sweep: a
+/// second invocation on the same store simulates nothing and writes
+/// the same report.
+#[test]
+fn warm_ablate_imbalance_simulates_nothing() {
+    let dir = std::env::temp_dir().join(format!("dca-cli-imbalance-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.join("store");
+    let run = |wd: &Path| {
+        std::fs::create_dir_all(wd).unwrap();
+        let o = Command::new(env!("CARGO_BIN_EXE_dca"))
+            .args(small_sampling_args("ablate_imbalance", &store))
+            .args(["-q", "--metrics-out"])
+            .arg(wd.join("metrics.prom"))
+            .current_dir(wd)
+            .output()
+            .expect("binary runs");
+        assert!(o.status.success(), "{}", stderr(&o));
+        let prom = std::fs::read_to_string(wd.join("metrics.prom")).expect("metrics written");
+        let report = std::fs::read(wd.join("results").join("ablate_imbalance.md")).unwrap();
+        (prom, report)
+    };
+    let (cold_prom, cold) = run(&dir.join("cold"));
+    assert!(counter(&cold_prom, "dca_detailed_insts_total") > 0);
+    let (warm_prom, warm) = run(&dir.join("warm"));
+    assert_eq!(counter(&warm_prom, "dca_detailed_insts_total"), 0, "warm run simulated");
+    assert_eq!(counter(&warm_prom, "dca_ff_insts_total"), 0, "warm run fast-forwarded");
+    assert!(warm == cold, "warm report differs from the cold one");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn store_lifecycle_stat_verify_gc() {
     let dir = std::env::temp_dir().join("dca-cli-store");
@@ -491,7 +527,7 @@ fn store_lifecycle_stat_verify_gc() {
 
     // A sampled figures run fills the store.
     let o = Command::new(env!("CARGO_BIN_EXE_dca"))
-        .args(small_sampling_args(&store_dir))
+        .args(small_sampling_args("sampling", &store_dir))
         .current_dir(&dir)
         .output()
         .expect("binary runs");

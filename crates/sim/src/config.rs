@@ -475,6 +475,28 @@ impl SimConfig {
         if self.unified && self.intercluster {
             return Err("a unified machine has no inter-cluster buses".into());
         }
+        // Without bypasses values cross clusters only through memory,
+        // so integer code must all run in cluster 0, beside the integer
+        // registers, and FP code in the one FP cluster (the base
+        // machine). Otherwise steering needs a copy the machine cannot
+        // make.
+        if !self.unified && !self.intercluster {
+            for c in 1..self.n() {
+                let f = &self.fus[c];
+                if f.int_alu > 0 || f.int_muldiv > 0 {
+                    return Err(format!(
+                        "cluster {c} has integer units, but a machine without \
+                         inter-cluster bypasses runs all integer code in cluster 0"
+                    ));
+                }
+                if f.fp_alu > 0 && c != fp_cluster {
+                    return Err(format!(
+                        "cluster {c} is a second FP cluster, but a machine without \
+                         inter-cluster bypasses has only one"
+                    ));
+                }
+            }
+        }
         if self.intercluster && self.buses_per_dir == 0 {
             return Err("clustered machine needs at least one bus per direction".into());
         }
@@ -898,6 +920,30 @@ mod tests {
             ..SimConfig::paper_base()
         };
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_bypassless_geometries_that_need_copies() {
+        // Integer units outside cluster 0 (the hetero4 and homo4 pairs
+        // on the base machine's substrates).
+        for spec in ["hetero4", "homo4", "homo2"] {
+            let err = MachineDesc::parse(spec)
+                .unwrap()
+                .apply(&SimConfig::paper_base())
+                .unwrap_err();
+            assert!(err.contains("integer units"), "{spec}: {err}");
+        }
+        // A second FP cluster.
+        let err = MachineDesc::parse("i4q64r96a3m,i4q64r96a0f,i4q64r96a0f")
+            .unwrap()
+            .apply(&SimConfig::paper_base())
+            .unwrap_err();
+        assert!(err.contains("second FP cluster"), "{err}");
+        // The base machine's own shape stays valid.
+        assert!(MachineDesc::parse("i4q64r96a3m,i4q64r96a0f")
+            .unwrap()
+            .apply(&SimConfig::paper_base())
+            .is_ok());
     }
 
     #[test]
