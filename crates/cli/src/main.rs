@@ -101,7 +101,8 @@ caches, predictor and front end: a preset geometry
 suffix for a line topology, e.g.
 `--geometry i4q64r96a3mf,i2q32r48a2,i2q32r48a2@line`. The base preset
 has no inter-cluster bypasses, so it takes only geometries whose
-integer code all runs in cluster 0.
+integer code all runs in cluster 0; ub, one unified cluster, takes
+none.
 Run `dca list` for benchmark and scheme names."
 }
 

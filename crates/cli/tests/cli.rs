@@ -234,6 +234,10 @@ fn error_paths_fail_with_diagnostics() {
             "--geometry hetero4: cluster 1 has integer units",
         ),
         (&["run", "--bench", "li", "--clusters", "4", "--scale", "smoke"], "unrecognised arguments"),
+        (
+            &["run", "--bench", "li", "--machine", "ub", "--geometry", "hetero4", "--scale", "smoke"],
+            "--geometry hetero4: the upper-bound machine is one unified cluster",
+        ),
     ];
     for (args, needle) in cases {
         let o = dca(args);

@@ -694,8 +694,13 @@ impl MachineDesc {
     /// # Errors
     ///
     /// Propagates [`SimConfig::validate`] failures and rejects
-    /// out-of-range cluster counts.
+    /// out-of-range cluster counts and a unified `base`.
     pub fn apply(&self, base: &SimConfig) -> Result<SimConfig, String> {
+        if base.unified {
+            return Err("the upper-bound machine is one unified cluster; \
+                        a geometry needs a clustered preset"
+                .into());
+        }
         let n = self.clusters.len();
         if !(2..=MAX_CLUSTERS).contains(&n) {
             return Err(format!("geometry has {n} clusters, need 2..={MAX_CLUSTERS}"));
@@ -939,6 +944,11 @@ mod tests {
             .apply(&SimConfig::paper_base())
             .unwrap_err();
         assert!(err.contains("second FP cluster"), "{err}");
+        // A unified machine has no clusters to lay out.
+        assert!(MachineDesc::parse("hetero4")
+            .unwrap()
+            .apply(&SimConfig::paper_upper_bound())
+            .is_err());
         // The base machine's own shape stays valid.
         assert!(MachineDesc::parse("i4q64r96a3m,i4q64r96a0f")
             .unwrap()
