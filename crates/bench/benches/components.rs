@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks for the substrate components: branch
-//! predictors, caches, the RDG analysis and the functional interpreter.
+//! predictors, caches, the RDG analysis, the functional interpreter and
+//! the continuously-warmed fast-forward built on it.
 //!
 //! These measure the *simulator's* wall-clock performance (host-side),
 //! complementing the figure binaries that measure the *simulated*
 //! machine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dca_prog::{Interp, Rdg};
+use dca_prog::{fast_forward_with, Interp, Rdg};
+use dca_sim::{ContinuousWarmer, SimConfig};
 use dca_stats::Rng64;
 use dca_uarch::{Bimodal, BranchPredictor, Cache, CacheConfig, Combined, Gshare};
 use dca_workloads::{build, Scale};
@@ -86,6 +88,17 @@ fn bench_interp(c: &mut Criterion) {
         b.iter(|| {
             let count = Interp::new(&w.program, w.memory.clone()).count();
             black_box(count)
+        })
+    });
+    // The same stream through the warm hook. The only checkpoint is the
+    // initial one (at paper scale there is one per 2M instructions), so
+    // the gap to `functional_compress` is the hook's per-instruction
+    // cost plus one snapshot.
+    g.bench_function("fast_forward_warm_compress", |b| {
+        let mut hook = ContinuousWarmer::new(&SimConfig::default());
+        b.iter(|| {
+            let ff = fast_forward_with(&w.program, w.memory.clone(), u64::MAX, u64::MAX, &mut hook);
+            black_box(ff.total_insts)
         })
     });
     g.finish();

@@ -183,7 +183,8 @@ impl RunOpts {
     ///
     /// A message naming the flag on a missing or malformed value
     /// (unknown scale, non-numeric instruction budget, zero sampling
-    /// period).
+    /// period), and one naming both flags when the sample interval
+    /// exceeds the sample period.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(RunOpts, Vec<String>), String> {
@@ -253,6 +254,15 @@ impl RunOpts {
                 opts.max_insts = Scale::PAPER_INSTS;
             }
             let _ = opts.sampling.get_or_insert_with(SampleOpts::default);
+        }
+        if let Some(s) = &opts.sampling {
+            if s.interval > s.period {
+                return Err(format!(
+                    "--sample-interval ({}) exceeds --sample-period ({}): successive \
+                     measured windows would overlap",
+                    s.interval, s.period
+                ));
+            }
         }
         if no_store {
             opts.store_dir = None;
@@ -375,6 +385,8 @@ mod tests {
             &["--max-insts", "lots"],
             &["--sample-period", "0"],
             &["--sample-interval", "0"],
+            &["--sample-period", "1000"],
+            &["--sample-interval", "2000001"],
             &["--target-stderr", "-1"],
             &["--warming", "tepid"],
             &["--store-dir"],
@@ -387,10 +399,13 @@ mod tests {
     #[test]
     fn sample_flags_enable_sampling_at_any_scale() {
         let (o, _) = RunOpts::from_args(
-            ["--sample-period", "8000"].iter().map(|s| s.to_string()),
+            ["--sample-period", "8000", "--sample-interval", "4000"]
+                .iter()
+                .map(|s| s.to_string()),
         );
         assert_eq!(o.scale, Scale::Default);
-        assert_eq!(o.sampling.expect("enabled").period, 8_000);
+        let s = o.sampling.expect("enabled");
+        assert_eq!((s.period, s.interval), (8_000, 4_000));
     }
 
     /// The serve refusal table cannot drift from the parser: every

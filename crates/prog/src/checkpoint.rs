@@ -144,15 +144,19 @@ pub fn fast_forward(prog: &Program, mem: Memory, every: u64, max: u64) -> FastFo
 /// The dynamic stream and the checkpoint grid are identical to the
 /// hook-free pass — a hook only *adds* microarchitectural state.
 ///
+/// The pass is generic over the hook, so a concrete hook's `observe`
+/// is compiled into the interpretation loop rather than called through
+/// a vtable once per instruction (`&mut dyn WarmHook` still works).
+///
 /// # Panics
 ///
 /// Panics if `every == 0`.
-pub fn fast_forward_with(
+pub fn fast_forward_with<H: WarmHook + ?Sized>(
     prog: &Program,
     mem: Memory,
     every: u64,
     max: u64,
-    hook: &mut dyn WarmHook,
+    hook: &mut H,
 ) -> FastForward {
     fast_forward_streaming(prog, mem, every, max, hook, &mut |_| {})
 }
@@ -165,12 +169,12 @@ pub fn fast_forward_with(
 /// # Panics
 ///
 /// Panics if `every == 0`.
-pub fn fast_forward_streaming(
+pub fn fast_forward_streaming<H: WarmHook + ?Sized>(
     prog: &Program,
     mem: Memory,
     every: u64,
     max: u64,
-    hook: &mut dyn WarmHook,
+    hook: &mut H,
     on_checkpoint: &mut dyn FnMut(&Checkpoint),
 ) -> FastForward {
     assert!(every > 0, "checkpoint interval must be non-zero");

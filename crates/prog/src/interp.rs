@@ -7,6 +7,7 @@
 //! the timing core charges cycles to them.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use dca_isa::{ExecClass, Inst, Opcode, Reg};
@@ -16,6 +17,35 @@ use crate::Program;
 
 pub(crate) const PAGE_SHIFT: u64 = 12;
 pub(crate) const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+
+/// Hash of a page index: one multiply by the 64-bit golden ratio.
+/// Every interpreted load and store looks its page up, and a page index
+/// needs no flooding resistance, so SipHash would be wasted work. The
+/// multiplier is odd, so indices that differ in their low bits still
+/// differ in the hash's low bits, which choose the bucket, and the
+/// product mixes them into the high bits, which the table keeps as a
+/// tag. Iteration order is not part of any output: everything that
+/// serializes or hashes memory goes through the sorted `page_entries`.
+#[derive(Default)]
+struct PageHash(u64);
+
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for PageHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(GOLDEN);
+    }
+}
 
 /// Sparse byte-addressable memory. Uninitialised bytes read as zero.
 ///
@@ -36,7 +66,7 @@ pub(crate) const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>, BuildHasherDefault<PageHash>>,
 }
 
 impl Memory {

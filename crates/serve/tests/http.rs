@@ -392,8 +392,15 @@ fn every_server_side_flag_is_refused_over_both_listeners() {
         }
     }
     // A malformed value is refused the same way — a 400 naming the
-    // flag, never a dropped connection.
-    for bad in [["--scale", "huge"], ["--max-insts", "lots"], ["--sample-period", "0"]] {
+    // flag, never a dropped connection. A sample period shorter than
+    // the default sample interval is one too: the dispatcher never
+    // sees it.
+    for bad in [
+        ["--scale", "huge"],
+        ["--max-insts", "lots"],
+        ["--sample-period", "0"],
+        ["--sample-period", "1000"],
+    ] {
         let payload = FigureRequest::render_payload("fig03", &args(&bad));
         for addr in [&d.sock, &d.tcp] {
             let resp = round(addr, "POST", "/v1/figures", Some(&payload));

@@ -63,6 +63,7 @@ impl ContinuousWarmer {
 }
 
 impl WarmHook for ContinuousWarmer {
+    #[inline]
     fn observe(&mut self, d: &DynInst) {
         // Mirrors `Simulator::warm_functional_inner`: one I-fetch per
         // instruction, the data access of loads/stores, and predictor

@@ -185,9 +185,11 @@ impl SliceIds {
 /// The *cluster table* of Figure 10 (augmented for §3.7): per slice,
 /// the cluster it is currently mapped to plus the criticality counter
 /// (cache misses or mispredictions of the defining instruction).
+/// Slices are named by dense static indices, so the table is a vector
+/// indexed by slice, like [`SliceIds`].
 #[derive(Clone, Debug, Default)]
 pub struct ClusterTable {
-    entries: std::collections::HashMap<u32, ClusterAssign>,
+    entries: Vec<Option<ClusterAssign>>,
 }
 
 /// One cluster-table entry.
@@ -205,37 +207,47 @@ impl ClusterTable {
         ClusterTable::default()
     }
 
+    fn get(&self, slice: u32) -> Option<&ClusterAssign> {
+        self.entries.get(slice as usize).and_then(Option::as_ref)
+    }
+
+    /// The entry of `slice`, created as `fresh` if absent.
+    fn entry(&mut self, slice: u32, fresh: ClusterAssign) -> &mut ClusterAssign {
+        let i = slice as usize;
+        if self.entries.len() <= i {
+            self.entries.resize(i + 1, None);
+        }
+        self.entries[i].get_or_insert(fresh)
+    }
+
     /// Current assignment of `slice`, if any.
     pub fn assignment(&self, slice: u32) -> Option<ClusterId> {
-        self.entries.get(&slice).map(|e| e.cluster)
+        self.get(slice).map(|e| e.cluster)
     }
 
     /// Assigns (or re-assigns) `slice` to `cluster`.
     pub fn assign(&mut self, slice: u32, cluster: ClusterId) {
-        self.entries
-            .entry(slice)
-            .and_modify(|e| e.cluster = cluster)
-            .or_insert(ClusterAssign {
-                cluster,
-                crit_events: 0,
-            });
+        let fresh = ClusterAssign {
+            cluster,
+            crit_events: 0,
+        };
+        self.entry(slice, fresh).cluster = cluster;
     }
 
     /// Records a criticality event (cache miss / misprediction) for the
-    /// slice defined by `defining_sidx`.
+    /// slice defined by `defining_sidx`. A slice not yet assigned is
+    /// entered on the integer cluster.
     pub fn record_crit_event(&mut self, defining_sidx: u32) {
-        self.entries
-            .entry(defining_sidx)
-            .and_modify(|e| e.crit_events += 1)
-            .or_insert(ClusterAssign {
-                cluster: ClusterId::INT,
-                crit_events: 1,
-            });
+        let fresh = ClusterAssign {
+            cluster: ClusterId::INT,
+            crit_events: 0,
+        };
+        self.entry(defining_sidx, fresh).crit_events += 1;
     }
 
     /// Criticality events recorded for `slice`.
     pub fn crit_events(&self, slice: u32) -> u32 {
-        self.entries.get(&slice).map_or(0, |e| e.crit_events)
+        self.get(slice).map_or(0, |e| e.crit_events)
     }
 }
 
@@ -384,5 +396,7 @@ mod tests {
         // Criticality for a slice seen only through events.
         t.record_crit_event(9);
         assert_eq!(t.crit_events(9), 1);
+        assert_eq!(t.assignment(9), Some(ClusterId::INT), "entered on the integer cluster");
+        assert_eq!(t.assignment(7), None, "a gap below a later slice stays empty");
     }
 }

@@ -105,13 +105,20 @@ impl CacheStats {
 /// ```
 /// use dca_uarch::{Cache, CacheConfig};
 /// let mut c = Cache::new(CacheConfig { size_bytes: 128, ways: 2, line_bytes: 32 });
-/// assert!(!c.access(0x1000));     // cold miss
-/// assert!(c.access(0x1004));      // same line
-/// assert!(!c.access(0x2000));     // different set? no: maps per geometry
+/// assert!(!c.access(0x1000)); // cold miss
+/// assert!(c.access(0x1004));  // same 32-byte line: hit
+/// assert!(!c.access(0x2000)); // 2 sets: another line of set 0, a miss
+/// assert!(c.access(0x1000));  // both lines fit in set 0's two ways
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `log2(line_bytes)`: `addr >> line_shift` is the line address,
+    /// which is also the stored tag.
+    line_shift: u32,
+    /// `sets - 1`: `line & set_mask` is the set index (the set count is
+    /// a power of two), so an access divides by nothing.
+    set_mask: usize,
     /// `tags[set * ways + way]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
     /// LRU stamps, larger = more recent.
@@ -141,6 +148,8 @@ impl Cache {
         let slots = cfg.sets() * cfg.ways;
         Cache {
             cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: cfg.sets() - 1,
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             tick: 0,
@@ -148,20 +157,21 @@ impl Cache {
         }
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line as usize) & (self.cfg.sets() - 1);
-        (set, line)
+    /// First slot of `addr`'s set, and its tag (the line address).
+    #[inline]
+    fn base_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        ((line as usize & self.set_mask) * self.cfg.ways, line)
     }
 
     /// Accesses `addr`; returns `true` on hit. On a miss the line is
     /// allocated, evicting the LRU way (write-allocate: reads and
     /// writes behave identically for tag state).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.cfg.ways;
+        let (base, tag) = self.base_and_tag(addr);
         let ways = &mut self.tags[base..base + self.cfg.ways];
         if let Some(w) = ways.iter().position(|&t| t == tag) {
             self.stamps[base + w] = self.tick;
@@ -179,8 +189,7 @@ impl Cache {
 
     /// Probes without updating LRU or stats (for tests/diagnostics).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.cfg.ways;
+        let (base, tag) = self.base_and_tag(addr);
         self.tags[base..base + self.cfg.ways].contains(&tag)
     }
 
@@ -319,6 +328,8 @@ impl Default for HierarchyConfig {
 #[derive(Clone, Debug)]
 pub struct MemHierarchy {
     cfg: HierarchyConfig,
+    /// Cycles to fetch one L2 line from memory, fixed by `cfg`.
+    mem_lat: u32,
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
@@ -331,16 +342,18 @@ impl MemHierarchy {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
+            mem_lat: Self::mem_latency(&cfg),
             cfg,
         }
     }
 
-    fn mem_latency(&self) -> u32 {
-        let line = self.cfg.l2.line_bytes as u32;
-        let chunks = line.div_ceil(self.cfg.bus_bytes).max(1);
-        self.cfg.mem_first_chunk + (chunks - 1) * self.cfg.mem_inter_chunk
+    fn mem_latency(cfg: &HierarchyConfig) -> u32 {
+        let line = cfg.l2.line_bytes as u32;
+        let chunks = line.div_ceil(cfg.bus_bytes).max(1);
+        cfg.mem_first_chunk + (chunks - 1) * cfg.mem_inter_chunk
     }
 
+    #[inline]
     fn access(l1: &mut Cache, l2: &mut Cache, cfg: &HierarchyConfig, mem_lat: u32, addr: u64) -> (u32, MemLevel) {
         if l1.access(addr) {
             return (cfg.l1_hit, MemLevel::L1);
@@ -352,16 +365,16 @@ impl MemHierarchy {
     }
 
     /// Instruction-fetch access: returns `(latency, serving level)`.
+    #[inline]
     pub fn access_inst(&mut self, addr: u64) -> (u32, MemLevel) {
-        let m = self.mem_latency();
-        Self::access(&mut self.l1i, &mut self.l2, &self.cfg, m, addr)
+        Self::access(&mut self.l1i, &mut self.l2, &self.cfg, self.mem_lat, addr)
     }
 
     /// Data access (loads and committed stores): returns
     /// `(latency, serving level)`.
+    #[inline]
     pub fn access_data(&mut self, addr: u64) -> (u32, MemLevel) {
-        let m = self.mem_latency();
-        Self::access(&mut self.l1d, &mut self.l2, &self.cfg, m, addr)
+        Self::access(&mut self.l1d, &mut self.l2, &self.cfg, self.mem_lat, addr)
     }
 
     /// L1 instruction-cache counters.
@@ -496,5 +509,115 @@ mod tests {
             ways: 1,
             line_bytes: 24,
         });
+    }
+
+    /// Reference model: the same tag/stamp cache, indexed by division
+    /// and modulo instead of a shift and a mask.
+    struct DivCache {
+        cfg: CacheConfig,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl DivCache {
+        fn new(cfg: CacheConfig) -> DivCache {
+            let slots = cfg.size_bytes / cfg.line_bytes;
+            DivCache {
+                cfg,
+                tags: vec![u64::MAX; slots],
+                stamps: vec![0; slots],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let sets = (self.cfg.size_bytes / (self.cfg.ways * self.cfg.line_bytes)) as u64;
+            let tag = addr / self.cfg.line_bytes as u64;
+            let base = (tag % sets) as usize * self.cfg.ways;
+            let slots = base..base + self.cfg.ways;
+            if let Some(s) = slots.clone().find(|&s| self.tags[s] == tag) {
+                self.stamps[s] = self.tick;
+                self.stats.hits += 1;
+                return true;
+            }
+            let lru = slots.min_by_key(|&s| self.stamps[s]).expect("ways > 0");
+            self.tags[lru] = tag;
+            self.stamps[lru] = self.tick;
+            false
+        }
+
+        fn lru_ranks(&self) -> Vec<u8> {
+            let mut ranks = vec![0u8; self.tags.len()];
+            for set in (0..self.tags.len()).step_by(self.cfg.ways) {
+                let mut valid: Vec<usize> =
+                    (set..set + self.cfg.ways).filter(|&s| self.tags[s] != u64::MAX).collect();
+                valid.sort_by_key(|&s| self.stamps[s]);
+                for (r, s) in valid.into_iter().enumerate() {
+                    ranks[s] = r as u8 + 1;
+                }
+            }
+            ranks
+        }
+    }
+
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn geometries() -> [CacheConfig; 4] {
+            [
+                CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 16 },
+                CacheConfig { size_bytes: 128, ways: 2, line_bytes: 32 },
+                CacheConfig::paper_l1(),
+                CacheConfig::paper_l2(),
+            ]
+        }
+
+        /// Addresses that collide: a few sets of the geometry, more
+        /// tags than ways per set, any byte of the line; one in four
+        /// is an arbitrary 64-bit address instead.
+        fn address(cfg: CacheConfig, (kind, raw, tag, set): (u8, u64, u64, u64)) -> u64 {
+            if kind == 0 {
+                return raw;
+            }
+            let way_bytes = (cfg.size_bytes / cfg.ways) as u64;
+            tag * way_bytes + set * cfg.line_bytes as u64 + raw % cfg.line_bytes as u64
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn shift_and_mask_indexing_matches_the_division_oracle(
+                geometry in 0usize..4,
+                stream in proptest::collection::vec(
+                    (0u8..4, any::<u64>(), 0u64..12, 0u64..3),
+                    1..600,
+                ),
+            ) {
+                let cfg = geometries()[geometry];
+                let mut dut = Cache::new(cfg);
+                let mut oracle = DivCache::new(cfg);
+                for (i, &a) in stream.iter().enumerate() {
+                    let addr = address(cfg, a);
+                    prop_assert_eq!(
+                        dut.access(addr),
+                        oracle.access(addr),
+                        "{:?}: access {} ({:#x})",
+                        cfg,
+                        i,
+                        addr
+                    );
+                }
+                prop_assert_eq!(dut.stats(), oracle.stats);
+                prop_assert_eq!(dut.tag_slots(), &oracle.tags[..]);
+                prop_assert_eq!(dut.lru_ranks(), oracle.lru_ranks());
+            }
+        }
     }
 }
