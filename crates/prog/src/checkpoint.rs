@@ -11,7 +11,8 @@
 //! [`Checkpoint`] holds the register file by value and shares every
 //! memory page with its neighbours until one of them diverges.
 
-use crate::interp::{Interp, Memory};
+use crate::interp::Interp;
+use crate::memory::Memory;
 use crate::Program;
 
 /// A complete architectural snapshot of an [`Interp`]: registers,
@@ -232,7 +233,7 @@ impl std::error::Error for CodecError {}
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::interp::PAGE_BYTES;
+use crate::memory::PAGE_BYTES;
 
 const PAGE_WORDS: usize = PAGE_BYTES / 8;
 const PAGE_BITMAP_BYTES: usize = PAGE_WORDS / 8;

@@ -6,188 +6,10 @@
 //! paper used: a functional core produces committed-path instructions;
 //! the timing core charges cycles to them.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
-
 use dca_isa::{ExecClass, Inst, Opcode, Reg};
 
 use crate::checkpoint::Checkpoint;
-use crate::Program;
-
-pub(crate) const PAGE_SHIFT: u64 = 12;
-pub(crate) const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
-
-/// Hash of a page index: one multiply by the 64-bit golden ratio.
-/// Every interpreted load and store looks its page up, and a page index
-/// needs no flooding resistance, so SipHash would be wasted work. The
-/// multiplier is odd, so indices that differ in their low bits still
-/// differ in the hash's low bits, which choose the bucket, and the
-/// product mixes them into the high bits, which the table keeps as a
-/// tag. Iteration order is not part of any output: everything that
-/// serializes or hashes memory goes through the sorted `page_entries`.
-#[derive(Default)]
-struct PageHash(u64);
-
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for PageHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(GOLDEN);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(GOLDEN);
-    }
-}
-
-/// Sparse byte-addressable memory. Uninitialised bytes read as zero.
-///
-/// Pages are reference-counted and copied on write, so cloning a
-/// `Memory` is O(pages) pointer copies — this is what makes interpreter
-/// [`Checkpoint`]s cheap: a snapshot shares every page with the live
-/// image and only diverging pages are ever duplicated (the "memory
-/// delta" of the sampled-simulation design, DESIGN.md §7).
-///
-/// # Example
-///
-/// ```
-/// use dca_prog::Memory;
-/// let mut m = Memory::new();
-/// m.write_u64(0x2000, 0xdead_beef);
-/// assert_eq!(m.read_u64(0x2000), 0xdead_beef);
-/// assert_eq!(m.read_u64(0x9000), 0); // untouched memory is zero
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Memory {
-    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>, BuildHasherDefault<PageHash>>,
-}
-
-impl Memory {
-    /// Creates an empty (all-zero) memory.
-    pub fn new() -> Memory {
-        Memory::default()
-    }
-
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
-        Arc::make_mut(
-            self.pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Arc::new([0u8; PAGE_BYTES])),
-        )
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr as usize) & (PAGE_BYTES - 1)],
-            None => 0,
-        }
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.page_mut(addr)[(addr as usize) & (PAGE_BYTES - 1)] = value;
-    }
-
-    /// Reads a little-endian 64-bit word (may straddle pages).
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off <= PAGE_BYTES - 8 {
-            // Word within one page: a single lookup.
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes")),
-                None => 0,
-            }
-        } else {
-            let mut bytes = [0u8; 8];
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = self.read_u8(addr.wrapping_add(i as u64));
-            }
-            u64::from_le_bytes(bytes)
-        }
-    }
-
-    /// Writes a little-endian 64-bit word (may straddle pages).
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off <= PAGE_BYTES - 8 {
-            // Word within one page: one lookup and one copy-on-write
-            // check, instead of eight of each.
-            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        } else {
-            for (i, b) in value.to_le_bytes().iter().enumerate() {
-                self.write_u8(addr.wrapping_add(i as u64), *b);
-            }
-        }
-    }
-
-    /// Reads a signed 64-bit word.
-    pub fn read_i64(&self, addr: u64) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    /// Writes a signed 64-bit word.
-    pub fn write_i64(&mut self, addr: u64, value: i64) {
-        self.write_u64(addr, value as u64);
-    }
-
-    /// Reads an IEEE double.
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes an IEEE double.
-    pub fn write_f64(&mut self, addr: u64, value: f64) {
-        self.write_u64(addr, value.to_bits());
-    }
-
-    /// Number of 4 KiB pages touched so far (for tests).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// The page table, sorted by page index — the deterministic
-    /// iteration order the checkpoint codec serializes in.
-    pub(crate) fn page_entries(&self) -> Vec<(u64, &Arc<[u8; PAGE_BYTES]>)> {
-        let mut v: Vec<_> = self.pages.iter().map(|(k, p)| (*k, p)).collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
-    }
-
-    /// Rebuilds a memory image from `(page_index, page)` pairs,
-    /// sharing the given `Arc`s (the decode half of the codec).
-    pub(crate) fn from_page_entries(
-        entries: impl IntoIterator<Item = (u64, Arc<[u8; PAGE_BYTES]>)>,
-    ) -> Memory {
-        Memory {
-            pages: entries.into_iter().collect(),
-        }
-    }
-
-    /// FNV-1a hash of the full memory content (page indices and
-    /// bytes, in page-index order). Deterministic across runs; used as
-    /// part of the workload fingerprint that keys the persistent
-    /// checkpoint store.
-    pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (idx, page) in self.page_entries() {
-            h ^= idx;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            for &b in page.iter() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-}
+use crate::{Memory, Program};
 
 /// One instruction of the dynamic (committed-path) stream.
 ///
@@ -725,23 +547,5 @@ mod tests {
         for (k, d) in v.iter().enumerate() {
             assert_eq!(d.seq, k as u64);
         }
-    }
-
-    #[test]
-    fn memory_pages_are_sparse() {
-        let mut m = Memory::new();
-        m.write_u64(0, 1);
-        m.write_u64(1 << 30, 2);
-        assert_eq!(m.page_count(), 2);
-        assert_eq!(m.read_u64(1 << 30), 2);
-    }
-
-    #[test]
-    fn memory_word_straddles_page_boundary() {
-        let mut m = Memory::new();
-        let addr = (1 << PAGE_SHIFT) - 4;
-        m.write_u64(addr, 0x1122_3344_5566_7788);
-        assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
-        assert_eq!(m.page_count(), 2);
     }
 }

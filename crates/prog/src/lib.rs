@@ -51,6 +51,7 @@ mod asm;
 mod builder;
 mod checkpoint;
 mod interp;
+mod memory;
 mod program;
 mod rdg;
 mod slice;
@@ -61,7 +62,8 @@ pub use checkpoint::{
     fast_forward, fast_forward_streaming, fast_forward_with, Checkpoint, CheckpointDecoder,
     CheckpointEncoder, CodecError, FastForward, NoWarmHook, WarmHook, INTERP_VERSION,
 };
-pub use interp::{DynInst, ExecSummary, Interp, Memory};
+pub use interp::{DynInst, ExecSummary, Interp};
+pub use memory::Memory;
 pub use program::{Block, Program, ProgramError, StaticInst};
 pub use rdg::{NodeId, NodePart, Rdg};
 pub use slice::{br_slice, ldst_slice, SliceSet};
