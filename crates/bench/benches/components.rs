@@ -101,8 +101,29 @@ fn bench_interp(c: &mut Criterion) {
             black_box(ff.total_insts)
         })
     });
+    // A prefix of the paper-scale gcc analogue: its 16.5k-instruction
+    // text is the largest in the suite, so this is where decoding each
+    // instruction once, rather than on every execution, shows.
+    let gcc = build("gcc", Scale::Paper);
+    g.throughput(Throughput::Elements(GCC_PREFIX));
+    g.bench_function("functional_gcc", |b| {
+        b.iter(|| {
+            let count = Interp::new(&gcc.program, gcc.memory.clone()).with_fuel(GCC_PREFIX).count();
+            black_box(count)
+        })
+    });
+    g.bench_function("fast_forward_warm_gcc", |b| {
+        let mut hook = ContinuousWarmer::new(&SimConfig::default());
+        b.iter(|| {
+            let ff = fast_forward_with(&gcc.program, gcc.memory.clone(), u64::MAX, GCC_PREFIX, &mut hook);
+            black_box(ff.total_insts)
+        })
+    });
     g.finish();
 }
+
+/// Instructions per iteration of the gcc rows.
+const GCC_PREFIX: u64 = 1_000_000;
 
 criterion_group! {
     name = benches;

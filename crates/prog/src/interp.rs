@@ -5,11 +5,206 @@
 //! the timing simulator. This mirrors the SimpleScalar organisation the
 //! paper used: a functional core produces committed-path instructions;
 //! the timing core charges cycles to them.
+//!
+//! A program is decoded once, by [`Program::from_blocks`], into an
+//! execution table of [`Exec`] records: register operands resolved to
+//! slots of one flat register file (reads of `r0` to a slot that stays
+//! zero, writes of `r0` and absent destinations to a slot nobody
+//! reads), the immediate folded into the second operand, and both
+//! successors as instruction indices. [`Interp`] runs the dynamic
+//! stream from that table.
 
 use dca_isa::{ExecClass, Inst, Opcode, Reg};
 
 use crate::checkpoint::Checkpoint;
+use crate::memory::PageHints;
+use crate::program::{StaticInst, INST_BYTES, TEXT_BASE};
 use crate::{Memory, Program};
+
+/// Register-file slot of FP register `f0`; integer register `rN` is
+/// slot `N`. FP values are held as their IEEE bit patterns.
+const FP_BASE: u8 = 32;
+/// A slot that is never written: what `r0` and absent operands read.
+const ZERO_SLOT: u8 = 64;
+/// A slot that is never read: where writes of `r0`, and the results
+/// of instructions without a destination, go.
+const SINK_SLOT: u8 = 65;
+/// The register file is indexed by a `u8` slot, so it has 256 entries
+/// and a read or write needs no bounds check.
+type RegFile = [u64; 256];
+
+/// The cursor after `halt` or `j` has no fall-through successor.
+const NO_SIDX: u32 = u32::MAX;
+
+/// The operation of an [`Exec`] record. Moves and `li` execute as
+/// `add` (a move adds the zero slot, `li` adds its immediate to it), a
+/// jump as `nop` whose successor is its target, and the integer and FP
+/// forms of loads and stores as one, since registers hold raw bits.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum XOp {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Sll,
+    Srl,
+    Sra,
+    Slt,
+    Seq,
+    Mul,
+    Div,
+    Rem,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    FCmpLt,
+    CvtIf,
+    CvtFi,
+    Ld,
+    St,
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Nop,
+    Halt,
+    /// An instruction that passes validation but reads an operand the
+    /// interpreter cannot supply: an FP operation with an immediate in
+    /// place of its second source, or a register index out of range.
+    /// Executing it panics, as reading the operand always did.
+    Trap,
+}
+
+/// One instruction of a program's execution table: everything
+/// [`Interp`] needs to execute it and to emit its [`DynInst`].
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Exec {
+    /// The instruction, as emitted in the dynamic stream.
+    inst: Inst,
+    op: XOp,
+    dst: u8,
+    src1: u8,
+    src2: u8,
+    /// Added to the `src2` slot: the ALU or branch immediate when it
+    /// replaces `src2` (whose slot is then the zero slot), zero when
+    /// `src2` is a register, and the displacement of loads and stores.
+    imm: i64,
+    /// `sidx` of the fall-through successor (`NO_SIDX` for `j` and
+    /// `halt`).
+    next: u32,
+    /// `sidx` of the taken successor of a branch or jump.
+    target: u32,
+}
+
+/// Slot of an integer source register (`None` reads zero).
+fn int_src(r: Option<Reg>) -> Option<u8> {
+    match r {
+        None | Some(Reg::Int(0)) => Some(ZERO_SLOT),
+        Some(Reg::Int(n)) if n < FP_BASE => Some(n),
+        _ => None,
+    }
+}
+
+/// Slot of an FP source register.
+fn fp_src(r: Option<Reg>) -> Option<u8> {
+    match r {
+        Some(Reg::Fp(n)) if n < FP_BASE => Some(FP_BASE + n),
+        _ => None,
+    }
+}
+
+/// Slot a destination register is written to.
+fn dst_slot(r: Option<Reg>) -> Option<u8> {
+    match r {
+        None | Some(Reg::Int(0)) => Some(SINK_SLOT),
+        Some(Reg::Int(n)) if n < FP_BASE => Some(n),
+        Some(Reg::Fp(n)) if n < FP_BASE => Some(FP_BASE + n),
+        _ => None,
+    }
+}
+
+impl Exec {
+    /// Decodes one laid-out instruction.
+    pub(crate) fn decode(si: &StaticInst) -> Exec {
+        let inst = si.inst;
+        let (imm_b, int_b) = match inst.src2 {
+            Some(_) => (0, int_src(inst.src2)),
+            None => (inst.imm, Some(ZERO_SLOT)),
+        };
+        use Opcode::*;
+        let (op, src1, src2, imm) = match inst.op {
+            Li => (XOp::Add, Some(ZERO_SLOT), Some(ZERO_SLOT), inst.imm),
+            Mov => (XOp::Add, int_src(inst.src1), Some(ZERO_SLOT), 0),
+            FMov => (XOp::Add, fp_src(inst.src1), Some(ZERO_SLOT), 0),
+            Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt | Seq | Mul | Div | Rem | Beq
+            | Bne | Blt | Bge => {
+                let op = match inst.op {
+                    Add => XOp::Add,
+                    Sub => XOp::Sub,
+                    And => XOp::And,
+                    Or => XOp::Or,
+                    Xor => XOp::Xor,
+                    Sll => XOp::Sll,
+                    Srl => XOp::Srl,
+                    Sra => XOp::Sra,
+                    Slt => XOp::Slt,
+                    Seq => XOp::Seq,
+                    Mul => XOp::Mul,
+                    Div => XOp::Div,
+                    Rem => XOp::Rem,
+                    Beq => XOp::Beq,
+                    Bne => XOp::Bne,
+                    Blt => XOp::Blt,
+                    _ => XOp::Bge,
+                };
+                (op, int_src(inst.src1), int_b, imm_b)
+            }
+            FAdd | FSub | FMul | FDiv | FCmpLt => {
+                let op = match inst.op {
+                    FAdd => XOp::FAdd,
+                    FSub => XOp::FSub,
+                    FMul => XOp::FMul,
+                    FDiv => XOp::FDiv,
+                    _ => XOp::FCmpLt,
+                };
+                (op, fp_src(inst.src1), fp_src(inst.src2), 0)
+            }
+            CvtIf => (XOp::CvtIf, int_src(inst.src1), Some(ZERO_SLOT), 0),
+            CvtFi => (XOp::CvtFi, fp_src(inst.src1), Some(ZERO_SLOT), 0),
+            Ld | FLd => (XOp::Ld, int_src(inst.src1), Some(ZERO_SLOT), inst.imm),
+            St => (XOp::St, int_src(inst.src1), int_src(inst.src2), inst.imm),
+            FSt => (XOp::St, int_src(inst.src1), fp_src(inst.src2), inst.imm),
+            J | Nop => (XOp::Nop, Some(ZERO_SLOT), Some(ZERO_SLOT), 0),
+            Halt => (XOp::Halt, Some(ZERO_SLOT), Some(ZERO_SLOT), 0),
+        };
+        let target = si.target.unwrap_or(NO_SIDX);
+        let next = if inst.op == J { target } else { si.fallthrough.unwrap_or(NO_SIDX) };
+        match (src1, src2, dst_slot(inst.dst)) {
+            (Some(src1), Some(src2), Some(dst)) => Exec {
+                inst,
+                op,
+                dst,
+                src1,
+                src2,
+                imm,
+                next,
+                target,
+            },
+            _ => Exec {
+                inst,
+                op: XOp::Trap,
+                dst: SINK_SLOT,
+                src1: ZERO_SLOT,
+                src2: ZERO_SLOT,
+                imm: 0,
+                next,
+                target,
+            },
+        }
+    }
+}
 
 /// One instruction of the dynamic (committed-path) stream.
 ///
@@ -99,12 +294,14 @@ impl ExecSummary {
 #[derive(Debug)]
 pub struct Interp<'p> {
     prog: &'p Program,
-    int_regs: [i64; 32],
-    fp_regs: [f64; 32],
+    regs: RegFile,
     mem: Memory,
-    cursor: Option<u32>,
+    hints: PageHints,
+    /// `sidx` of the next instruction; `NO_SIDX` once halted.
+    cursor: u32,
     seq: u64,
-    fuel: Option<u64>,
+    /// Absolute instruction budget (`u64::MAX` when unlimited).
+    fuel: u64,
     halted: bool,
 }
 
@@ -114,12 +311,12 @@ impl<'p> Interp<'p> {
     pub fn new(prog: &'p Program, mem: Memory) -> Interp<'p> {
         Interp {
             prog,
-            int_regs: [0; 32],
-            fp_regs: [0.0; 32],
+            regs: [0; 256],
             mem,
-            cursor: Some(prog.entry()),
+            hints: PageHints::default(),
+            cursor: prog.entry(),
             seq: 0,
-            fuel: None,
+            fuel: u64::MAX,
             halted: false,
         }
     }
@@ -128,18 +325,20 @@ impl<'p> Interp<'p> {
     /// iterator simply ends when the budget is exhausted, mirroring the
     /// paper's fixed 100M-instruction simulation windows.
     pub fn with_fuel(mut self, max: u64) -> Interp<'p> {
-        self.fuel = Some(max);
+        self.fuel = max;
         self
     }
 
     /// Reads an integer register (for tests and examples).
     pub fn int_reg(&self, n: u8) -> i64 {
-        self.int_regs[n as usize]
+        assert!(n < FP_BASE, "integer register index {n} out of range");
+        self.regs[usize::from(n)] as i64
     }
 
     /// Reads an FP register (for tests and examples).
     pub fn fp_reg(&self, n: u8) -> f64 {
-        self.fp_regs[n as usize]
+        assert!(n < FP_BASE, "FP register index {n} out of range");
+        f64::from_bits(self.regs[usize::from(FP_BASE + n)])
     }
 
     /// The memory image (borrowed; useful after the run).
@@ -166,10 +365,10 @@ impl<'p> Interp<'p> {
     /// (see `tests/prop_checkpoint.rs`).
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            int_regs: self.int_regs,
-            fp_regs: self.fp_regs,
+            int_regs: std::array::from_fn(|n| self.int_reg(n as u8)),
+            fp_regs: std::array::from_fn(|n| self.fp_reg(n as u8)),
             mem: self.mem.clone(),
-            cursor: self.cursor,
+            cursor: (self.cursor != NO_SIDX).then_some(self.cursor),
             seq: self.seq,
             halted: self.halted,
             uarch: None,
@@ -181,188 +380,106 @@ impl<'p> Interp<'p> {
     /// chain [`Interp::with_fuel`] with an absolute budget
     /// (`ckpt.seq() + interval`).
     pub fn resume(prog: &'p Program, ckpt: &Checkpoint) -> Interp<'p> {
+        let mut regs = [0; 256];
+        for n in 0..usize::from(FP_BASE) {
+            regs[n] = ckpt.int_regs[n] as u64;
+            regs[usize::from(FP_BASE) + n] = ckpt.fp_regs[n].to_bits();
+        }
         Interp {
             prog,
-            int_regs: ckpt.int_regs,
-            fp_regs: ckpt.fp_regs,
+            regs,
             mem: ckpt.mem.clone(),
-            cursor: ckpt.cursor,
+            hints: PageHints::default(),
+            cursor: ckpt.cursor.unwrap_or(NO_SIDX),
             seq: ckpt.seq,
-            fuel: None,
+            fuel: u64::MAX,
             halted: ckpt.halted,
-        }
-    }
-
-    fn read_int(&self, r: Option<Reg>) -> i64 {
-        match r {
-            Some(Reg::Int(n)) => {
-                if n == 0 {
-                    0
-                } else {
-                    self.int_regs[n as usize]
-                }
-            }
-            Some(Reg::Fp(_)) => panic!("integer read of FP register"),
-            None => 0,
-        }
-    }
-
-    fn read_fp(&self, r: Option<Reg>) -> f64 {
-        match r {
-            Some(Reg::Fp(n)) => self.fp_regs[n as usize],
-            _ => panic!("FP read of non-FP register"),
-        }
-    }
-
-    fn write_reg(&mut self, r: Option<Reg>, int_val: i64, fp_val: f64) {
-        match r {
-            Some(Reg::Int(0)) | None => {}
-            Some(Reg::Int(n)) => self.int_regs[n as usize] = int_val,
-            Some(Reg::Fp(n)) => self.fp_regs[n as usize] = fp_val,
         }
     }
 
     /// Executes the instruction at the cursor and advances. Returns the
     /// emitted dynamic instruction, or `None` on `halt`.
+    #[inline(always)]
     fn step(&mut self) -> Option<DynInst> {
-        let sidx = self.cursor?;
-        let si = *self.prog.static_inst(sidx);
-        let inst = si.inst;
+        let sidx = self.cursor;
+        let x = self.prog.exec().get(sidx as usize)?;
+        let a = self.regs[usize::from(x.src1)];
+        let b = self.regs[usize::from(x.src2)];
+        // The integer second operand: a register, or the immediate
+        // added to the zero slot.
+        let (ai, bi) = (a as i64, (b as i64).wrapping_add(x.imm));
+        let fp = f64::from_bits;
         let mut ea = None;
         let mut taken = None;
-        let mut next = si.fallthrough;
-
-        use Opcode::*;
-        match inst.op {
-            Halt => {
+        let mut next = x.next;
+        let mut branch = |t: bool| {
+            taken = Some(t);
+            if t {
+                next = x.target;
+            }
+            0
+        };
+        let v: u64 = match x.op {
+            XOp::Add => ai.wrapping_add(bi) as u64,
+            XOp::Sub => ai.wrapping_sub(bi) as u64,
+            XOp::And => (ai & bi) as u64,
+            XOp::Or => (ai | bi) as u64,
+            XOp::Xor => (ai ^ bi) as u64,
+            XOp::Sll => a << (bi as u64 & 63),
+            XOp::Srl => a >> (bi as u64 & 63),
+            XOp::Sra => (ai >> (bi as u64 & 63)) as u64,
+            XOp::Slt => u64::from(ai < bi),
+            XOp::Seq => u64::from(ai == bi),
+            XOp::Mul => ai.wrapping_mul(bi) as u64,
+            XOp::Div => match bi {
+                0 => 0,
+                _ => ai.wrapping_div(bi) as u64,
+            },
+            XOp::Rem => match bi {
+                0 => 0,
+                _ => ai.wrapping_rem(bi) as u64,
+            },
+            XOp::FAdd => (fp(a) + fp(b)).to_bits(),
+            XOp::FSub => (fp(a) - fp(b)).to_bits(),
+            XOp::FMul => (fp(a) * fp(b)).to_bits(),
+            XOp::FDiv => (fp(a) / fp(b)).to_bits(),
+            XOp::FCmpLt => u64::from(fp(a) < fp(b)),
+            XOp::CvtIf => (ai as f64).to_bits(),
+            XOp::CvtFi => fp(a) as i64 as u64,
+            XOp::Ld => {
+                let addr = ai.wrapping_add(x.imm) as u64;
+                ea = Some(addr);
+                self.mem.read_u64_hinted(addr, &mut self.hints)
+            }
+            XOp::St => {
+                let addr = ai.wrapping_add(x.imm) as u64;
+                ea = Some(addr);
+                self.mem.write_u64_hinted(addr, b, &mut self.hints);
+                0
+            }
+            XOp::Beq => branch(ai == bi),
+            XOp::Bne => branch(ai != bi),
+            XOp::Blt => branch(ai < bi),
+            XOp::Bge => branch(ai >= bi),
+            XOp::Nop => 0,
+            XOp::Halt => {
                 self.halted = true;
-                self.cursor = None;
+                self.cursor = NO_SIDX;
                 return None;
             }
-            Nop => {}
-            Li => self.write_reg(inst.dst, inst.imm, 0.0),
-            Mov => {
-                let v = self.read_int(inst.src1);
-                self.write_reg(inst.dst, v, 0.0);
-            }
-            Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt | Seq | Mul | Div | Rem => {
-                let a = self.read_int(inst.src1);
-                let b = match inst.src2 {
-                    Some(_) => self.read_int(inst.src2),
-                    None => inst.imm,
-                };
-                let v = match inst.op {
-                    Add => a.wrapping_add(b),
-                    Sub => a.wrapping_sub(b),
-                    And => a & b,
-                    Or => a | b,
-                    Xor => a ^ b,
-                    Sll => ((a as u64) << (b as u64 & 63)) as i64,
-                    Srl => ((a as u64) >> (b as u64 & 63)) as i64,
-                    Sra => a >> (b as u64 & 63),
-                    Slt => i64::from(a < b),
-                    Seq => i64::from(a == b),
-                    Mul => a.wrapping_mul(b),
-                    Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                    Rem => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_rem(b)
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                self.write_reg(inst.dst, v, 0.0);
-            }
-            FMov => {
-                let v = self.read_fp(inst.src1);
-                self.write_reg(inst.dst, 0, v);
-            }
-            FAdd | FSub | FMul | FDiv => {
-                let a = self.read_fp(inst.src1);
-                let b = self.read_fp(inst.src2);
-                let v = match inst.op {
-                    FAdd => a + b,
-                    FSub => a - b,
-                    FMul => a * b,
-                    FDiv => a / b,
-                    _ => unreachable!(),
-                };
-                self.write_reg(inst.dst, 0, v);
-            }
-            FCmpLt => {
-                let a = self.read_fp(inst.src1);
-                let b = self.read_fp(inst.src2);
-                self.write_reg(inst.dst, i64::from(a < b), 0.0);
-            }
-            CvtIf => {
-                let a = self.read_int(inst.src1);
-                self.write_reg(inst.dst, 0, a as f64);
-            }
-            CvtFi => {
-                let a = self.read_fp(inst.src1);
-                self.write_reg(inst.dst, a as i64, 0.0);
-            }
-            Ld | FLd => {
-                let base = self.read_int(inst.src1);
-                let addr = base.wrapping_add(inst.imm) as u64;
-                ea = Some(addr);
-                if inst.op == Ld {
-                    let v = self.mem.read_i64(addr);
-                    self.write_reg(inst.dst, v, 0.0);
-                } else {
-                    let v = self.mem.read_f64(addr);
-                    self.write_reg(inst.dst, 0, v);
-                }
-            }
-            St | FSt => {
-                let base = self.read_int(inst.src1);
-                let addr = base.wrapping_add(inst.imm) as u64;
-                ea = Some(addr);
-                if inst.op == St {
-                    let v = self.read_int(inst.src2);
-                    self.mem.write_i64(addr, v);
-                } else {
-                    let v = self.read_fp(inst.src2);
-                    self.mem.write_f64(addr, v);
-                }
-            }
-            Beq | Bne | Blt | Bge => {
-                let a = self.read_int(inst.src1);
-                let b = match inst.src2 {
-                    Some(_) => self.read_int(inst.src2),
-                    None => inst.imm,
-                };
-                let t = match inst.op {
-                    Beq => a == b,
-                    Bne => a != b,
-                    Blt => a < b,
-                    Bge => a >= b,
-                    _ => unreachable!(),
-                };
-                taken = Some(t);
-                if t {
-                    next = si.target;
-                }
-            }
-            J => {
-                next = si.target;
-            }
-        }
-
+            XOp::Trap => panic!(
+                "`{}` at sidx {sidx} reads an operand the interpreter cannot supply",
+                x.inst
+            ),
+        };
+        // Instructions without a destination write the sink slot.
+        self.regs[usize::from(x.dst)] = v;
         self.cursor = next;
         let d = DynInst {
             seq: self.seq,
             sidx,
-            pc: si.pc,
-            inst,
+            pc: TEXT_BASE + u64::from(sidx) * INST_BYTES,
+            inst: x.inst,
             ea,
             taken,
         };
@@ -399,11 +516,10 @@ impl<'p> Interp<'p> {
 impl Iterator for Interp<'_> {
     type Item = DynInst;
 
+    #[inline]
     fn next(&mut self) -> Option<DynInst> {
-        if let Some(f) = self.fuel {
-            if self.seq >= f {
-                return None;
-            }
+        if self.seq >= self.fuel {
+            return None;
         }
         self.step()
     }

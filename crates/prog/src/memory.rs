@@ -1,49 +1,26 @@
 //! Sparse, copy-on-write, byte-addressable memory: the architectural
 //! memory image of the functional interpreter and of its checkpoints.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 pub(crate) const PAGE_SHIFT: u64 = 12;
 pub(crate) const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 
-/// Hash of a page index: one multiply by the 64-bit golden ratio.
-/// Every interpreted load and store looks its page up, and a page index
-/// needs no flooding resistance, so SipHash would be wasted work. The
-/// multiplier is odd, so indices that differ in their low bits still
-/// differ in the hash's low bits, which choose the bucket, and the
-/// product mixes them into the high bits, which the table keeps as a
-/// tag. Iteration order is not part of any output: everything that
-/// serializes or hashes memory goes through the sorted `page_entries`.
-#[derive(Default)]
-struct PageHash(u64);
-
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for PageHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(GOLDEN);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(GOLDEN);
-    }
-}
+type Page = [u8; PAGE_BYTES];
 
 /// Sparse byte-addressable memory. Uninitialised bytes read as zero.
 ///
 /// Pages are reference-counted and copied on write, so cloning a
 /// `Memory` is O(pages) pointer copies — this is what makes interpreter
-/// [`Checkpoint`]s cheap: a snapshot shares every page with the live
-/// image and only diverging pages are ever duplicated (the "memory
-/// delta" of the sampled-simulation design, DESIGN.md §7).
+/// [`Checkpoint`](crate::Checkpoint)s cheap: a snapshot shares every
+/// page with the live image and only diverging pages are ever
+/// duplicated (the "memory delta" of the sampled-simulation design,
+/// DESIGN.md §7).
+///
+/// The page table is a vector sorted by page index, so lookups hash
+/// nothing and `page_entries` (the order the checkpoint codec and
+/// `content_hash` walk) needs no sort. The interpreter keeps a few
+/// hints of where it last found pages, checked before a binary search.
 ///
 /// # Example
 ///
@@ -56,8 +33,21 @@ impl Hasher for PageHash {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<[u8; PAGE_BYTES]>, BuildHasherDefault<PageHash>>,
+    /// Indices of the allocated pages, strictly increasing.
+    index: Vec<u64>,
+    /// `pages[i]` holds the bytes of page `index[i]`.
+    pages: Vec<Arc<Page>>,
 }
+
+const HINTS: usize = 16;
+
+/// Direct-mapped guesses at where pages sit in a [`Memory`]'s sorted
+/// table, one per low-order page-index bucket. A guess is checked
+/// against the table before it is used, so a stale one (a page
+/// inserted below it shifted the table) only costs the binary search
+/// it would have saved: hints never change what is read or written.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PageHints([u32; HINTS]);
 
 impl Memory {
     /// Creates an empty (all-zero) memory.
@@ -65,34 +55,63 @@ impl Memory {
         Memory::default()
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
-        Arc::make_mut(
-            self.pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Arc::new([0u8; PAGE_BYTES])),
-        )
+    /// Position of `page` in the table, trying the hint first.
+    #[inline]
+    fn find(&self, page: u64, hints: &mut PageHints) -> Option<usize> {
+        let hint = &mut hints.0[page as usize % HINTS];
+        if self.index.get(*hint as usize) == Some(&page) {
+            return Some(*hint as usize);
+        }
+        let i = self.index.binary_search(&page).ok()?;
+        *hint = i as u32;
+        Some(i)
+    }
+
+    /// Writable bytes of `page`, allocating a zero page on first touch
+    /// and copying a shared one.
+    #[inline]
+    fn page_mut(&mut self, page: u64, hints: &mut PageHints) -> &mut Page {
+        let i = match self.find(page, hints) {
+            Some(i) => i,
+            None => {
+                let i = self.index.partition_point(|&p| p < page);
+                self.index.insert(i, page);
+                self.pages.insert(i, Arc::new([0u8; PAGE_BYTES]));
+                hints.0[page as usize % HINTS] = i as u32;
+                i
+            }
+        };
+        Arc::make_mut(&mut self.pages[i])
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr as usize) & (PAGE_BYTES - 1)],
+        match self.find(addr >> PAGE_SHIFT, &mut PageHints::default()) {
+            Some(i) => self.pages[i][(addr as usize) & (PAGE_BYTES - 1)],
             None => 0,
         }
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.page_mut(addr)[(addr as usize) & (PAGE_BYTES - 1)] = value;
+        self.page_mut(addr >> PAGE_SHIFT, &mut PageHints::default())[(addr as usize) & (PAGE_BYTES - 1)] =
+            value;
     }
 
     /// Reads a little-endian 64-bit word (may straddle pages).
     pub fn read_u64(&self, addr: u64) -> u64 {
+        self.read_u64_hinted(addr, &mut PageHints::default())
+    }
+
+    /// [`Memory::read_u64`] for the interpreter, which carries its
+    /// page hints from access to access.
+    #[inline]
+    pub(crate) fn read_u64_hinted(&self, addr: u64, hints: &mut PageHints) -> u64 {
         let off = (addr as usize) & (PAGE_BYTES - 1);
         if off <= PAGE_BYTES - 8 {
             // Word within one page: a single lookup.
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes")),
+            match self.find(addr >> PAGE_SHIFT, hints) {
+                Some(i) => u64::from_le_bytes(self.pages[i][off..off + 8].try_into().expect("8 bytes")),
                 None => 0,
             }
         } else {
@@ -106,11 +125,18 @@ impl Memory {
 
     /// Writes a little-endian 64-bit word (may straddle pages).
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        self.write_u64_hinted(addr, value, &mut PageHints::default());
+    }
+
+    /// [`Memory::write_u64`] for the interpreter (see
+    /// [`Memory::read_u64_hinted`]).
+    #[inline]
+    pub(crate) fn write_u64_hinted(&mut self, addr: u64, value: u64, hints: &mut PageHints) {
         let off = (addr as usize) & (PAGE_BYTES - 1);
         if off <= PAGE_BYTES - 8 {
             // Word within one page: one lookup and one copy-on-write
             // check, instead of eight of each.
-            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            self.page_mut(addr >> PAGE_SHIFT, hints)[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u64), *b);
@@ -140,25 +166,30 @@ impl Memory {
 
     /// Number of 4 KiB pages touched so far (for tests).
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
 
     /// The page table, sorted by page index — the deterministic
     /// iteration order the checkpoint codec serializes in.
-    pub(crate) fn page_entries(&self) -> Vec<(u64, &Arc<[u8; PAGE_BYTES]>)> {
-        let mut v: Vec<_> = self.pages.iter().map(|(k, p)| (*k, p)).collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
+    pub(crate) fn page_entries(&self) -> Vec<(u64, &Arc<Page>)> {
+        self.index.iter().copied().zip(&self.pages).collect()
     }
 
     /// Rebuilds a memory image from `(page_index, page)` pairs,
-    /// sharing the given `Arc`s (the decode half of the codec).
-    pub(crate) fn from_page_entries(
-        entries: impl IntoIterator<Item = (u64, Arc<[u8; PAGE_BYTES]>)>,
-    ) -> Memory {
-        Memory {
-            pages: entries.into_iter().collect(),
+    /// sharing the given `Arc`s (the decode half of the codec). A
+    /// repeated index keeps its last page.
+    pub(crate) fn from_page_entries(entries: impl IntoIterator<Item = (u64, Arc<Page>)>) -> Memory {
+        let mut m = Memory::default();
+        for (idx, page) in entries {
+            match m.index.binary_search(&idx) {
+                Ok(i) => m.pages[i] = page,
+                Err(i) => {
+                    m.index.insert(i, idx);
+                    m.pages.insert(i, page);
+                }
+            }
         }
+        m
     }
 
     /// FNV-1a hash of the full memory content (page indices and

@@ -4,6 +4,8 @@ use std::fmt;
 
 use dca_isa::{Inst, Label};
 
+use crate::interp::Exec;
+
 /// Base address of the first instruction, mimicking a text segment that
 /// does not start at zero.
 pub(crate) const TEXT_BASE: u64 = 0x1000;
@@ -143,6 +145,9 @@ impl std::error::Error for ProgramError {}
 pub struct Program {
     blocks: Vec<Block>,
     layout: Vec<StaticInst>,
+    /// The interpreter's decoded form of `layout`, one record per
+    /// instruction.
+    exec: Vec<Exec>,
     block_start: Vec<u32>,
 }
 
@@ -235,9 +240,11 @@ impl Program {
                 sidx += 1;
             }
         }
+        let exec = layout.iter().map(Exec::decode).collect();
         Ok(Program {
             blocks,
             layout,
+            exec,
             block_start,
         })
     }
@@ -260,6 +267,11 @@ impl Program {
     /// Panics if `sidx` is out of range.
     pub fn static_inst(&self, sidx: u32) -> &StaticInst {
         &self.layout[sidx as usize]
+    }
+
+    /// The execution table: `exec()[sidx]` decodes `static_inst(sidx)`.
+    pub(crate) fn exec(&self) -> &[Exec] {
+        &self.exec
     }
 
     /// All laid-out instructions in address order.
