@@ -201,13 +201,14 @@ impl SchemeKind {
     }
 
     /// Instantiates the scheme (some need the program for offline
-    /// analysis), inside a `steer.instantiate` span.
+    /// analysis, which runs once per program per process), inside a
+    /// `steer.instantiate` span.
     pub fn instantiate(self, prog: &Program) -> Box<dyn Steering> {
         let _span = dca_obs::span("steer", "steer.instantiate").arg("scheme", self.name());
         match self {
             SchemeKind::Naive => Box::new(Naive::new()),
             SchemeKind::Modulo => Box::new(Modulo::new()),
-            SchemeKind::StaticLdSt => Box::new(StaticPartition::analyze(prog)),
+            SchemeKind::StaticLdSt => Box::new(StaticPartition::shared(prog)),
             SchemeKind::LdStSlice => Box::new(SliceSteering::new(SliceKind::LdSt)),
             SchemeKind::BrSlice => Box::new(SliceSteering::new(SliceKind::Br)),
             SchemeKind::LdStNonSliceBalance => {

@@ -220,6 +220,18 @@ fn load_program(
     }
 }
 
+/// Parses a `--pipe FROM:TO` cycle window.
+fn parse_pipe(win: &str) -> Result<(u64, u64), String> {
+    let (from, to) = win
+        .split_once(':')
+        .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<u64>().ok()?)))
+        .ok_or("--pipe expects FROM:TO cycle numbers")?;
+    if from > to {
+        return Err(format!("--pipe {win}: window is reversed (FROM exceeds TO)"));
+    }
+    Ok((from, to))
+}
+
 fn parse_opts(args: Vec<String>) -> Result<(RunOpts, Flags), String> {
     let (opts, rest) = RunOpts::parse(args)?;
     opts.apply_observability();
@@ -238,7 +250,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
         Some(v) => v.parse().map_err(|_| "--trace needs a number")?,
         None => 0,
     };
-    let pipe = flags.take("--pipe");
+    let pipe = flags.take("--pipe").map(|w| parse_pipe(&w)).transpose()?;
     flags.finish("run")?;
 
     // The header and manifest name what was simulated: the preset, or
@@ -269,11 +281,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), String> {
     );
     if let Some(trace) = sim.take_trace() {
         println!("{}", trace.render_table());
-        if let Some(win) = pipe {
-            let (from, to) = win
-                .split_once(':')
-                .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-                .ok_or("--pipe expects FROM:TO cycle numbers")?;
+        if let Some((from, to)) = pipe {
             println!("{}", trace.render_pipe(from, to));
         }
     } else if pipe.is_some() {

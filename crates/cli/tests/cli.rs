@@ -97,7 +97,25 @@ fn run_asm_with_trace_and_pipe() {
     assert!(o.status.success(), "{}", stderr(&o));
     let s = stdout(&o);
     assert!(s.contains("uop"), "trace table rendered");
-    assert!(s.contains("cycle 0..48"), "pipe diagram rendered");
+    // The diagram shows the part of 0..48 the 8 recorded µops span.
+    let ruler = s.lines().find(|l| l.starts_with("cycle ")).expect("pipe diagram rendered");
+    let (label, cells) = ruler.split_once('|').expect("ruler cells");
+    let (from, to) = label["cycle ".len()..].trim().split_once("..").expect("window");
+    let (from, to): (usize, usize) = (from.parse().unwrap(), to.parse().unwrap());
+    assert!(from < to && to <= 48, "{ruler}");
+    assert_eq!(cells.len(), to - from, "{ruler}");
+    // A window far past the run renders in bounded size.
+    let o = dca(&[
+        "run",
+        "--asm",
+        path.to_str().unwrap(),
+        "--trace",
+        "8",
+        "--pipe",
+        "0:100000000000",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).len() < 8_192, "{} bytes", stdout(&o).len());
 }
 
 #[test]
@@ -216,6 +234,10 @@ fn error_paths_fail_with_diagnostics() {
             &["run", "--bench", "li", "--pipe", "0:9", "--scale", "smoke"],
             "--pipe needs --trace",
         ),
+        (
+            &["run", "--bench", "li", "--trace", "5", "--pipe", "5:1", "--scale", "smoke", "--max-insts", "1000"],
+            "--pipe 5:1: window is reversed",
+        ),
         (&["nosuch"], "unknown command"),
         (
             &["run", "--bench", "li", "--machine", "warp", "--scale", "smoke"],
@@ -281,9 +303,9 @@ fn figures_subcommand_writes_artefacts() {
 /// The observability acceptance criteria in one end-to-end pass: the
 /// same sampled figures run with and without `--trace-out` /
 /// `--metrics-out` produces byte-identical reports; the trace is valid
-/// Chrome trace-event JSON with spans from all five layers (Lab
-/// worker, fast-forward, interval simulation, scheme setup, store
-/// I/O); the metrics
+/// Chrome trace-event JSON with spans from all six layers (workload
+/// construction, Lab worker, fast-forward, interval simulation, scheme
+/// setup, store I/O); the metrics
 /// file is a Prometheus exposition; and the run manifest stamps the
 /// invocation.
 #[test]
@@ -349,7 +371,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
             );
         }
     }
-    for want in ["lab", "prog", "sim", "steer", "store"] {
+    for want in ["workloads", "lab", "prog", "sim", "steer", "store"] {
         assert!(
             events.iter().any(|e| {
                 e.get("cat").and_then(Json::as_str) == Some(want)

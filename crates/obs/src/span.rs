@@ -77,7 +77,8 @@ pub fn now_ns() -> u64 {
 pub struct SpanEvent {
     /// Span name (`layer.operation`, e.g. `store.read`).
     pub name: Cow<'static, str>,
-    /// Category — the layer taxonomy (`lab`, `prog`, `sim`, `steer`, `store`).
+    /// Category — the layer taxonomy (`workloads`, `lab`, `prog`, `sim`,
+    /// `steer`, `store`).
     pub cat: &'static str,
     /// Trace-local id of the recording thread.
     pub tid: u64,

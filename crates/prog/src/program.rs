@@ -1,6 +1,7 @@
 //! Programs: basic blocks, validation and PC layout.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use dca_isa::{Inst, Label};
 
@@ -149,6 +150,8 @@ pub struct Program {
     /// instruction.
     exec: Vec<Exec>,
     block_start: Vec<u32>,
+    /// [`Program::content_hash`], computed on first use.
+    content_hash: OnceLock<u64>,
 }
 
 impl Program {
@@ -246,6 +249,7 @@ impl Program {
             layout,
             exec,
             block_start,
+            content_hash: OnceLock::new(),
         })
     }
 
@@ -316,24 +320,27 @@ impl Program {
     /// instruction's rendering plus its control-flow edges). Any change
     /// to the instruction sequence, layout or CFG changes the hash;
     /// used as part of the workload fingerprint keying the persistent
-    /// checkpoint store.
+    /// checkpoint store, and as the key of per-program analysis
+    /// caches. Computed once per program.
     pub fn content_hash(&self) -> u64 {
-        fn mix_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-            for b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        *self.content_hash.get_or_init(|| {
+            fn mix_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
+                for b in bytes {
+                    *h ^= u64::from(b);
+                    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
             }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for si in &self.layout {
-            mix_bytes(&mut h, si.pc.to_le_bytes());
-            mix_bytes(&mut h, format!("{:?}", si.inst).bytes());
-            let ft = u64::from(si.fallthrough.map_or(u32::MAX, |t| t));
-            mix_bytes(&mut h, ft.to_le_bytes());
-            let tg = u64::from(si.target.map_or(u32::MAX, |t| t));
-            mix_bytes(&mut h, tg.to_le_bytes());
-        }
-        h
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for si in &self.layout {
+                mix_bytes(&mut h, si.pc.to_le_bytes());
+                mix_bytes(&mut h, format!("{:?}", si.inst).bytes());
+                let ft = u64::from(si.fallthrough.map_or(u32::MAX, |t| t));
+                mix_bytes(&mut h, ft.to_le_bytes());
+                let tg = u64::from(si.target.map_or(u32::MAX, |t| t));
+                mix_bytes(&mut h, tg.to_le_bytes());
+            }
+            h
+        })
     }
 }
 

@@ -242,8 +242,16 @@ impl Trace {
     /// instruction queue, `e` issued and executing, `w` complete but
     /// not yet retired, `C` commit. Copies render in lower-case with a
     /// `>` prefix on the label.
+    ///
+    /// The window is clamped to the cycles the recorded µops span
+    /// (first fetch to last commit), so its width is bounded by the
+    /// trace however large `to` is; the ruler names the clamped window.
     pub fn render_pipe(&self, from: u64, to: u64) -> String {
         assert!(from <= to, "cycle window is reversed");
+        let first = self.records.iter().map(|r| r.fetch_at).min().unwrap_or(from);
+        let end = self.records.iter().map(|r| r.commit_at + 1).max().unwrap_or(from);
+        let from = from.max(first);
+        let to = to.min(end).max(from);
         let width = (to - from) as usize;
         let mut out = String::new();
         // Cycle ruler (mod 10).
@@ -372,6 +380,26 @@ mod tests {
         // Out-of-window records are skipped entirely.
         let empty = t.render_pipe(100, 110);
         assert_eq!(empty.lines().count(), 1, "ruler only");
+    }
+
+    #[test]
+    fn pipe_window_is_clamped_to_the_recorded_span() {
+        let mut t = Trace::with_capacity(8);
+        t.push(rec(3, TracedKind::Normal)); // f@3 .. C@9
+        t.push(rec(5, TracedKind::Normal)); // f@5 .. C@11
+        // A window of 10^11 cycles renders the 9 cycles the µops span.
+        let s = t.render_pipe(0, 100_000_000_000);
+        assert!(s.len() < 200, "bounded rendering: {} bytes", s.len());
+        let ruler = s.lines().next().expect("ruler");
+        assert!(ruler.starts_with("cycle 3..12 "), "{ruler}");
+        assert!(ruler.ends_with("|345678901"), "{ruler}");
+        let rows: Vec<&str> = s.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].ends_with("|fddewwC  "), "{}", rows[0]);
+        // An empty trace renders an empty window.
+        let none = Trace::with_capacity(1).render_pipe(0, u64::MAX);
+        assert_eq!(none.lines().count(), 1);
+        assert!(none.len() < 64);
     }
 
     #[test]

@@ -17,8 +17,16 @@
 //! than `max_int_share` of all instructions. DESIGN.md documents this
 //! substitution.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use dca_prog::{ldst_slice, NodeId, Program, Rdg};
 use dca_sim::{Allowed, ClusterId, DecodedView, SteerCtx, Steering};
+
+/// Distinct programs whose partitions [`StaticPartition::shared`]
+/// keeps. A process analyses a handful of workloads; past this many
+/// (only randomized tests get there) the cache starts over.
+const SHARED_PROGRAMS: usize = 64;
 
 /// Offline static partitioning.
 ///
@@ -44,7 +52,8 @@ use dca_sim::{Allowed, ClusterId, DecodedView, SteerCtx, Steering};
 /// ```
 #[derive(Clone, Debug)]
 pub struct StaticPartition {
-    assign: Vec<ClusterId>,
+    /// Shared, so clones of one analysis cost a reference count.
+    assign: Arc<[ClusterId]>,
 }
 
 impl StaticPartition {
@@ -52,6 +61,31 @@ impl StaticPartition {
     /// share).
     pub fn analyze(prog: &Program) -> StaticPartition {
         StaticPartition::analyze_with(prog, 0.75)
+    }
+
+    /// [`StaticPartition::analyze`], run once per distinct program in
+    /// a process. Later calls for a program with the same
+    /// [`Program::content_hash`] — the same content, wherever it lives
+    /// — share the first call's result. The sampled Lab instantiates
+    /// the `static` scheme once per interval, so this makes the
+    /// analysis one per program instead of one per interval.
+    pub fn shared(prog: &Program) -> StaticPartition {
+        type Slots = HashMap<u64, Arc<OnceLock<StaticPartition>>>;
+        static CACHE: OnceLock<Mutex<Slots>> = OnceLock::new();
+        let key = prog.content_hash();
+        let slot = {
+            let mut cache = CACHE
+                .get_or_init(Default::default)
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if cache.len() >= SHARED_PROGRAMS && !cache.contains_key(&key) {
+                cache.clear();
+            }
+            Arc::clone(cache.entry(key).or_default())
+        };
+        // Analyse outside the map lock: other programs proceed, and a
+        // second caller for this one waits for the first's result.
+        slot.get_or_init(|| StaticPartition::analyze(prog)).clone()
     }
 
     /// Analyzes `prog`, allowing the refinement pass to grow the
@@ -102,7 +136,9 @@ impl StaticPartition {
                 int_count += 1;
             }
         }
-        StaticPartition { assign }
+        StaticPartition {
+            assign: assign.into(),
+        }
     }
 
     /// The cluster statically assigned to instruction `sidx`.
@@ -228,5 +264,23 @@ mod tests {
     fn share_validation() {
         let p = parse_asm("e:\n halt").unwrap();
         let _ = StaticPartition::analyze_with(&p, 1.5);
+    }
+
+    /// Repeated requests for one program run one analysis, keyed by
+    /// content: a separately built copy of the program shares it, and
+    /// a different program gets its own.
+    #[test]
+    fn shared_analysis_runs_once_per_program() {
+        let src = "e:\n li r1, #4096\n li r2, #7\n ld r3, 0(r1)\n add r9, r2, r3\n halt";
+        let p = parse_asm(src).unwrap();
+        let first = StaticPartition::shared(&p);
+        let again = StaticPartition::shared(&p);
+        assert!(Arc::ptr_eq(&first.assign, &again.assign), "second call reuses the analysis");
+        let copy = parse_asm(src).unwrap();
+        let by_content = StaticPartition::shared(&copy);
+        assert!(Arc::ptr_eq(&first.assign, &by_content.assign), "keyed by content, not address");
+        assert_eq!(first.assign, StaticPartition::analyze(&p).assign, "same partition as analyze");
+        let other = parse_asm("e:\n li r1, #4096\n ld r3, 0(r1)\n halt").unwrap();
+        assert!(!Arc::ptr_eq(&first.assign, &StaticPartition::shared(&other).assign));
     }
 }
