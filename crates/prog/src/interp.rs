@@ -554,6 +554,9 @@ mod tests {
             seq r9, r1, r1
             xor r10, r1, r2
             sll r11, r1, #2
+            li r12, #-16
+            sra r13, r12, #2
+            srl r14, r12, #60
             halt";
         let p = parse_asm(src).unwrap();
         let mut i = Interp::new(&p, Memory::new());
@@ -567,6 +570,8 @@ mod tests {
         assert_eq!(i.int_reg(9), 1);
         assert_eq!(i.int_reg(10), 2);
         assert_eq!(i.int_reg(11), 24);
+        assert_eq!(i.int_reg(13), -4, "sra keeps the sign");
+        assert_eq!(i.int_reg(14), 15, "srl shifts in zeros");
     }
 
     #[test]
@@ -645,6 +650,28 @@ mod tests {
         // branch outcomes: taken, taken, not-taken
         let outcomes: Vec<_> = v.iter().filter_map(|d| d.taken).collect();
         assert_eq!(outcomes, vec![true, true, false]);
+    }
+
+    /// An FP operation whose second operand is an immediate passes
+    /// validation but cannot execute: the program builds, and the
+    /// instruction panics when it runs, after the stream before it.
+    #[test]
+    #[should_panic(expected = "reads an operand the interpreter cannot supply")]
+    fn fp_immediate_operand_panics_when_executed() {
+        use crate::{Block, Program};
+        let fadd_imm = Inst {
+            src2: None,
+            imm: 3,
+            ..Inst::fadd(Reg::fp(1), Reg::fp(2), Reg::fp(3))
+        };
+        let p = Program::from_blocks(vec![Block::new(
+            "e",
+            vec![Inst::li(Reg::int(1), 1), fadd_imm, Inst::halt()],
+        )])
+        .expect("validates");
+        let mut i = Interp::new(&p, Memory::new());
+        assert!(i.next().is_some(), "li executes");
+        i.next();
     }
 
     #[test]
