@@ -324,8 +324,11 @@ pub fn table1(lab: &mut Lab) -> Figure {
         "stores",
         "branches",
     ]);
-    for (name, (paper_input, description, s)) in suite_parallel(lab, |_, w| {
-        (w.paper_input, w.description, w.execute_functional())
+    for (name, (paper_input, description, s)) in suite_parallel(lab, |bench, w| {
+        let mut span = dca_obs::span("workloads", "workloads.functional").arg("bench", bench);
+        let summary = w.execute_functional();
+        span.add_arg("insts", summary.dyn_insts);
+        (w.paper_input, w.description, summary)
     }) {
         t.row(&[
             name.to_string(),

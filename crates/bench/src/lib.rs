@@ -34,7 +34,7 @@ use dca_steer::{
     NonSliceBalance, PrioritySliceBalance, SliceBalance, SliceKind, SliceSteering,
     StaticPartition,
 };
-use dca_workloads::Workload;
+use dca_workloads::{Scale, Workload};
 
 pub use opts::{RunOpts, SampleOpts, Warming, SERVER_SIDE_FLAGS};
 pub use sampling::SampleInfo;
@@ -177,6 +177,15 @@ pub const ALL_SCHEMES: [SchemeKind; 13] = [
     SchemeKind::GeneralBalance,
     SchemeKind::Fifo,
 ];
+
+/// Builds one benchmark (`dca_workloads::build`) inside a
+/// `workloads.build` span.
+pub fn build_workload(name: &str, scale: Scale) -> Workload {
+    let _span = dca_obs::span("workloads", "workloads.build")
+        .arg("bench", name)
+        .arg("scale", scale.name());
+    dca_workloads::build(name, scale)
+}
 
 impl SchemeKind {
     /// Human label used in figure rows/legends (matches the paper's).
@@ -676,7 +685,7 @@ impl Lab {
         let name = Self::bench_name(bench);
         self.workloads
             .entry(name)
-            .or_insert_with(|| dca_workloads::build(name, scale))
+            .or_insert_with(|| build_workload(name, scale))
     }
 
     fn cache_key(bench: &str, machine: Machine, scheme: SchemeKind) -> (String, String, String) {
@@ -1118,7 +1127,7 @@ impl Lab {
             }
         }
         let built: Vec<(&'static str, Workload)> =
-            Self::fan_out(&missing, |&name| (name, dca_workloads::build(name, scale)));
+            Self::fan_out(&missing, |&name| (name, build_workload(name, scale)));
         self.workloads.extend(built);
         &self.workloads
     }

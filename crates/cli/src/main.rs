@@ -196,7 +196,7 @@ fn load_program(
                     dca_workloads::NAMES.join(", ")
                 ));
             }
-            let w = dca_workloads::build(b, scale);
+            let w = dca_bench::build_workload(b, scale);
             let fp = w.fingerprint();
             Ok((b.to_string(), w.program, w.memory, Some(fp)))
         }

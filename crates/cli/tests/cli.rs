@@ -284,6 +284,44 @@ fn help_exits_cleanly() {
     assert!(stdout(&o).contains("USAGE"));
 }
 
+/// Table 1's workload construction and functional passes run inside
+/// `workloads` spans, and tracing leaves the report bytes alone.
+#[test]
+fn table1_functional_pass_is_traced() {
+    use dca_obs::json::Json;
+
+    let dir = std::env::temp_dir().join("dca-cli-table1-trace");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut reports = Vec::new();
+    for (sub, extra) in [("plain", &[][..]), ("traced", &["--trace-out", "trace.json"][..])] {
+        let cwd = dir.join(sub);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let o = Command::new(env!("CARGO_BIN_EXE_dca"))
+            .args(["figures", "table1", "--scale", "smoke", "--no-store"])
+            .args(extra)
+            .current_dir(&cwd)
+            .output()
+            .expect("binary runs");
+        assert!(o.status.success(), "{}", stderr(&o));
+        reports.push(std::fs::read(cwd.join("results").join("table1.md")).expect("report"));
+    }
+    assert_eq!(reports[0], reports[1], "tracing must not perturb report bytes");
+    let trace = std::fs::read_to_string(dir.join("traced").join("trace.json")).expect("trace");
+    let doc = dca_obs::json::parse(&trace).expect("trace is valid JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    for name in ["workloads.build", "workloads.functional"] {
+        let n = events
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(Json::as_str) == Some(name)
+                    && e.get("cat").and_then(Json::as_str) == Some("workloads")
+            })
+            .count();
+        assert_eq!(n, 8, "one `{name}` span per benchmark");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn figures_subcommand_writes_artefacts() {
     let dir = std::env::temp_dir().join("dca-cli-figures");

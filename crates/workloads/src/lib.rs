@@ -68,10 +68,7 @@ impl Workload {
     /// returns its mix summary (used to validate the analogue's
     /// character in tests and in Table 1).
     pub fn execute_functional(&self) -> ExecSummary {
-        let mut span = dca_obs::span("workloads", "workloads.functional").arg("bench", self.name);
-        let summary = Interp::new(&self.program, self.memory.clone()).run_summary();
-        span.add_arg("insts", summary.dyn_insts);
-        summary
+        Interp::new(&self.program, self.memory.clone()).run_summary()
     }
 
     /// A fresh interpreter over this workload.
@@ -109,9 +106,6 @@ pub const FIGURE3_NAMES: [&str; 7] = ["perl", "go", "gcc", "li", "compress", "ij
 /// Panics on an unknown benchmark name (the valid names are in
 /// [`NAMES`]).
 pub fn build(name: &str, scale: Scale) -> Workload {
-    let _span = dca_obs::span("workloads", "workloads.build")
-        .arg("bench", name)
-        .arg("scale", scale.name());
     match name {
         "go" => programs::go::build(scale),
         "m88ksim" => programs::m88ksim::build(scale),
@@ -133,21 +127,6 @@ pub fn suite(scale: Scale) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Building a workload and its functional pass (Table 1's) each
-    /// record a span.
-    #[test]
-    fn construction_and_functional_pass_are_spans() {
-        dca_obs::span::set_enabled(true);
-        build("compress", Scale::Smoke).execute_functional();
-        let events = dca_obs::span::drain();
-        for name in ["workloads.build", "workloads.functional"] {
-            assert!(
-                events.iter().any(|e| e.name == name && e.cat == "workloads"),
-                "no `{name}` span"
-            );
-        }
-    }
 
     #[test]
     fn all_benchmarks_build_and_halt() {
