@@ -108,14 +108,22 @@ fn bench_interp(c: &mut Criterion) {
     g.throughput(Throughput::Elements(GCC_PREFIX));
     g.bench_function("functional_gcc", |b| {
         b.iter(|| {
-            let count = Interp::new(&gcc.program, gcc.memory.clone()).with_fuel(GCC_PREFIX).count();
+            let count = Interp::new(&gcc.program, gcc.memory.clone())
+                .with_fuel(GCC_PREFIX)
+                .count();
             black_box(count)
         })
     });
     g.bench_function("fast_forward_warm_gcc", |b| {
         let mut hook = ContinuousWarmer::new(&SimConfig::default());
         b.iter(|| {
-            let ff = fast_forward_with(&gcc.program, gcc.memory.clone(), u64::MAX, GCC_PREFIX, &mut hook);
+            let ff = fast_forward_with(
+                &gcc.program,
+                gcc.memory.clone(),
+                u64::MAX,
+                GCC_PREFIX,
+                &mut hook,
+            );
             black_box(ff.total_insts)
         })
     });

@@ -116,6 +116,14 @@ fn run_asm_with_trace_and_pipe() {
     ]);
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).len() < 8_192, "{} bytes", stdout(&o).len());
+    // An FP operation with an immediate is a clean load error, not a
+    // panic when it executes.
+    let bad = dir.join("fp_imm.s");
+    std::fs::write(&bad, "e:\n fadd f1, f2, #3\n halt\n").unwrap();
+    let o = dca(&["run", "--asm", bad.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    assert!(stderr(&o).contains("FP operations take two FP register sources"), "{}", stderr(&o));
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
 }
 
 #[test]

@@ -70,11 +70,6 @@ enum XOp {
     Bge,
     Nop,
     Halt,
-    /// An instruction that passes validation but reads an operand the
-    /// interpreter cannot supply: an FP operation with an immediate in
-    /// place of its second source, or a register index out of range.
-    /// Executing it panics, as reading the operand always did.
-    Trap,
 }
 
 /// One instruction of a program's execution table: everything
@@ -127,7 +122,14 @@ fn dst_slot(r: Option<Reg>) -> Option<u8> {
 
 impl Exec {
     /// Decodes one laid-out instruction.
-    pub(crate) fn decode(si: &StaticInst) -> Exec {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an instruction with an operand no register-file slot
+    /// holds: an FP operation with an immediate in place of its second
+    /// source (which `Inst::validate` accepts) or a register index
+    /// beyond 31.
+    pub(crate) fn decode(si: &StaticInst) -> Result<Exec, &'static str> {
         let inst = si.inst;
         let (imm_b, int_b) = match inst.src2 {
             Some(_) => (0, int_src(inst.src2)),
@@ -180,9 +182,13 @@ impl Exec {
             Halt => (XOp::Halt, Some(ZERO_SLOT), Some(ZERO_SLOT), 0),
         };
         let target = si.target.unwrap_or(NO_SIDX);
-        let next = if inst.op == J { target } else { si.fallthrough.unwrap_or(NO_SIDX) };
+        let next = if inst.op == J {
+            target
+        } else {
+            si.fallthrough.unwrap_or(NO_SIDX)
+        };
         match (src1, src2, dst_slot(inst.dst)) {
-            (Some(src1), Some(src2), Some(dst)) => Exec {
+            (Some(src1), Some(src2), Some(dst)) => Ok(Exec {
                 inst,
                 op,
                 dst,
@@ -191,17 +197,10 @@ impl Exec {
                 imm,
                 next,
                 target,
-            },
-            _ => Exec {
-                inst,
-                op: XOp::Trap,
-                dst: SINK_SLOT,
-                src1: ZERO_SLOT,
-                src2: ZERO_SLOT,
-                imm: 0,
-                next,
-                target,
-            },
+            }),
+            _ => {
+                Err("FP operations take two FP register sources, and register indices are below 32")
+            }
         }
     }
 }
@@ -467,10 +466,6 @@ impl<'p> Interp<'p> {
                 self.cursor = NO_SIDX;
                 return None;
             }
-            XOp::Trap => panic!(
-                "`{}` at sidx {sidx} reads an operand the interpreter cannot supply",
-                x.inst
-            ),
         };
         // Instructions without a destination write the sink slot.
         self.regs[usize::from(x.dst)] = v;
@@ -650,28 +645,6 @@ mod tests {
         // branch outcomes: taken, taken, not-taken
         let outcomes: Vec<_> = v.iter().filter_map(|d| d.taken).collect();
         assert_eq!(outcomes, vec![true, true, false]);
-    }
-
-    /// An FP operation whose second operand is an immediate passes
-    /// validation but cannot execute: the program builds, and the
-    /// instruction panics when it runs, after the stream before it.
-    #[test]
-    #[should_panic(expected = "reads an operand the interpreter cannot supply")]
-    fn fp_immediate_operand_panics_when_executed() {
-        use crate::{Block, Program};
-        let fadd_imm = Inst {
-            src2: None,
-            imm: 3,
-            ..Inst::fadd(Reg::fp(1), Reg::fp(2), Reg::fp(3))
-        };
-        let p = Program::from_blocks(vec![Block::new(
-            "e",
-            vec![Inst::li(Reg::int(1), 1), fadd_imm, Inst::halt()],
-        )])
-        .expect("validates");
-        let mut i = Interp::new(&p, Memory::new());
-        assert!(i.next().is_some(), "li executes");
-        i.next();
     }
 
     #[test]

@@ -94,8 +94,8 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.page_mut(addr >> PAGE_SHIFT, &mut PageHints::default())[(addr as usize) & (PAGE_BYTES - 1)] =
-            value;
+        self.page_mut(addr >> PAGE_SHIFT, &mut PageHints::default())
+            [(addr as usize) & (PAGE_BYTES - 1)] = value;
     }
 
     /// Reads a little-endian 64-bit word (may straddle pages).
@@ -111,7 +111,9 @@ impl Memory {
         if off <= PAGE_BYTES - 8 {
             // Word within one page: a single lookup.
             match self.find(addr >> PAGE_SHIFT, hints) {
-                Some(i) => u64::from_le_bytes(self.pages[i][off..off + 8].try_into().expect("8 bytes")),
+                Some(i) => {
+                    u64::from_le_bytes(self.pages[i][off..off + 8].try_into().expect("8 bytes"))
+                }
                 None => 0,
             }
         } else {
@@ -136,7 +138,8 @@ impl Memory {
         if off <= PAGE_BYTES - 8 {
             // Word within one page: one lookup and one copy-on-write
             // check, instead of eight of each.
-            self.page_mut(addr >> PAGE_SHIFT, hints)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            self.page_mut(addr >> PAGE_SHIFT, hints)[off..off + 8]
+                .copy_from_slice(&value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u64), *b);
@@ -309,12 +312,18 @@ mod tests {
                 assert_eq!(m.read_u64(word), o.read_u64(word), "word at {word:#x}");
             }
             let idx: Vec<u64> = m.page_entries().iter().map(|&(i, _)| i).collect();
-            assert!(idx.windows(2).all(|w| w[0] < w[1]), "page_entries sorted: {idx:?}");
+            assert!(
+                idx.windows(2).all(|w| w[0] < w[1]),
+                "page_entries sorted: {idx:?}"
+            );
             assert_eq!(idx, o.pages.iter().copied().collect::<Vec<_>>(), "page set");
             assert_eq!(m.page_count(), o.pages.len());
             assert_eq!(m.content_hash(), o.content_hash(), "content_hash");
-            let rebuilt =
-                Memory::from_page_entries(m.page_entries().into_iter().map(|(i, p)| (i, Arc::clone(p))));
+            let rebuilt = Memory::from_page_entries(
+                m.page_entries()
+                    .into_iter()
+                    .map(|(i, p)| (i, Arc::clone(p))),
+            );
             assert_eq!(rebuilt.content_hash(), m.content_hash(), "codec round trip");
         }
 

@@ -243,7 +243,15 @@ impl Program {
                 sidx += 1;
             }
         }
-        let exec = layout.iter().map(Exec::decode).collect();
+        let exec = layout
+            .iter()
+            .map(|si| {
+                Exec::decode(si).map_err(|why| ProgramError::InvalidInst {
+                    block: blocks[si.block as usize].name.clone(),
+                    detail: format!("`{}`: {why}", si.inst),
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Program {
             blocks,
             layout,
@@ -422,6 +430,26 @@ mod tests {
         let halt = p.static_inst(2);
         assert_eq!(halt.inst.op, Opcode::Halt);
         assert_eq!(halt.fallthrough, None);
+    }
+
+    /// `Inst::validate` lets an FP operation take an immediate, but no
+    /// register-file slot holds one: the program is rejected when it is
+    /// built, not when the instruction runs.
+    #[test]
+    fn rejects_fp_operation_with_an_immediate() {
+        let fadd_imm = Inst {
+            src2: None,
+            imm: 3,
+            ..Inst::fadd(Reg::fp(1), Reg::fp(2), Reg::fp(3))
+        };
+        assert!(fadd_imm.validate().is_ok());
+        let r = Program::from_blocks(vec![Block::new("a", vec![fadd_imm, Inst::halt()])]);
+        assert!(
+            matches!(&r, Err(ProgramError::InvalidInst { block, detail })
+                if block == "a" && detail.starts_with("`fadd f1, f2, #3`: FP operations")),
+            "{r:?}"
+        );
+        assert!(crate::parse_asm("e:\n fcmplt r1, f2, #0\n halt").is_err());
     }
 
     #[test]

@@ -74,6 +74,8 @@ impl StaticPartition {
         static CACHE: OnceLock<Mutex<Slots>> = OnceLock::new();
         let key = prog.content_hash();
         let slot = {
+            // Each update under the lock is one `clear` or one insert,
+            // so the map is valid even if a holder panicked.
             let mut cache = CACHE
                 .get_or_init(Default::default)
                 .lock()

@@ -26,7 +26,10 @@ fn reg_byte(r: Option<Reg>) -> u8 {
 
 fn digest_inst(h: &mut u64, inst: &Inst) {
     fnv64(h, inst.op.mnemonic().as_bytes());
-    fnv64(h, &[reg_byte(inst.dst), reg_byte(inst.src1), reg_byte(inst.src2)]);
+    fnv64(
+        h,
+        &[reg_byte(inst.dst), reg_byte(inst.src1), reg_byte(inst.src2)],
+    );
     fnv64(h, &inst.imm.to_le_bytes());
     fnv64(h, &inst.target.map_or(u32::MAX, |l| l.0).to_le_bytes());
 }
@@ -66,6 +69,7 @@ fn digests(w: &Workload, fuel: u64) -> (u64, u64, u64) {
 
 /// `(name, (instructions, stream digest, final-state digest))`: every
 /// benchmark at smoke scale, then every kernel.
+#[rustfmt::skip]
 const SMOKE: [(&str, (u64, u64, u64)); 14] = [
     ("go", (35_267, 0x6123_f5df_8b07_9dd7, 0xddae_0b48_0110_b27f)),
     ("li", (114_923, 0xa285_d885_aa22_0b21, 0x9b93_9a19_8574_b02e)),
@@ -85,18 +89,22 @@ const SMOKE: [(&str, (u64, u64, u64)); 14] = [
 
 #[test]
 fn smoke_streams_are_pinned() {
-    let workloads = NAMES
-        .iter()
-        .map(|name| build(name, Scale::Smoke))
-        .chain(kernels::NAMES.iter().map(|name| kernels::by_name(name).expect("kernel exists")));
-    let got: Vec<(&str, (u64, u64, u64))> = workloads
-        .map(|w| (w.name, digests(&w, u64::MAX)))
-        .collect();
+    let workloads = NAMES.iter().map(|name| build(name, Scale::Smoke)).chain(
+        kernels::NAMES
+            .iter()
+            .map(|name| kernels::by_name(name).expect("kernel exists")),
+    );
+    let got: Vec<(&str, (u64, u64, u64))> =
+        workloads.map(|w| (w.name, digests(&w, u64::MAX))).collect();
     assert_eq!(got, SMOKE, "stream digests");
 }
 
 #[test]
 fn gcc_paper_prefix_is_pinned() {
     let d = digests(&build("gcc", Scale::Paper), 2_000_000);
-    assert_eq!(d, (2_000_000, 0xc181_5ad5_77aa_d360, 0xf7dc_fc09_c007_fcf9), "{d:#x?}");
+    assert_eq!(
+        d,
+        (2_000_000, 0xc181_5ad5_77aa_d360, 0xf7dc_fc09_c007_fcf9),
+        "{d:#x?}"
+    );
 }
