@@ -36,49 +36,17 @@ type RegFile = [u64; 256];
 /// The cursor after `halt` or `j` has no fall-through successor.
 const NO_SIDX: u32 = u32::MAX;
 
-/// The operation of an [`Exec`] record. Moves and `li` execute as
-/// `add` (a move adds the zero slot, `li` adds its immediate to it), a
-/// jump as `nop` whose successor is its target, and the integer and FP
-/// forms of loads and stores as one, since registers hold raw bits.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum XOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Sll,
-    Srl,
-    Sra,
-    Slt,
-    Seq,
-    Mul,
-    Div,
-    Rem,
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-    FCmpLt,
-    CvtIf,
-    CvtFi,
-    Ld,
-    St,
-    Beq,
-    Bne,
-    Blt,
-    Bge,
-    Nop,
-    Halt,
-}
-
 /// One instruction of a program's execution table: everything
 /// [`Interp`] needs to execute it and to emit its [`DynInst`].
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Exec {
     /// The instruction, as emitted in the dynamic stream.
     inst: Inst,
-    op: XOp,
+    /// The operation executed. Moves and `li` execute as `add` (a move
+    /// adds the zero slot, `li` adds its immediate to it), a jump as
+    /// `nop` whose successor is its target, and the FP loads and stores
+    /// as the integer ones, since registers hold raw bits.
+    op: Opcode,
     dst: u8,
     src1: u8,
     src2: u8,
@@ -136,50 +104,24 @@ impl Exec {
             None => (inst.imm, Some(ZERO_SLOT)),
         };
         use Opcode::*;
+        let zero = Some(ZERO_SLOT);
         let (op, src1, src2, imm) = match inst.op {
-            Li => (XOp::Add, Some(ZERO_SLOT), Some(ZERO_SLOT), inst.imm),
-            Mov => (XOp::Add, int_src(inst.src1), Some(ZERO_SLOT), 0),
-            FMov => (XOp::Add, fp_src(inst.src1), Some(ZERO_SLOT), 0),
-            Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt | Seq | Mul | Div | Rem | Beq
-            | Bne | Blt | Bge => {
-                let op = match inst.op {
-                    Add => XOp::Add,
-                    Sub => XOp::Sub,
-                    And => XOp::And,
-                    Or => XOp::Or,
-                    Xor => XOp::Xor,
-                    Sll => XOp::Sll,
-                    Srl => XOp::Srl,
-                    Sra => XOp::Sra,
-                    Slt => XOp::Slt,
-                    Seq => XOp::Seq,
-                    Mul => XOp::Mul,
-                    Div => XOp::Div,
-                    Rem => XOp::Rem,
-                    Beq => XOp::Beq,
-                    Bne => XOp::Bne,
-                    Blt => XOp::Blt,
-                    _ => XOp::Bge,
-                };
-                (op, int_src(inst.src1), int_b, imm_b)
-            }
+            Li => (Add, zero, zero, inst.imm),
+            Mov => (Add, int_src(inst.src1), zero, 0),
+            FMov => (Add, fp_src(inst.src1), zero, 0),
             FAdd | FSub | FMul | FDiv | FCmpLt => {
-                let op = match inst.op {
-                    FAdd => XOp::FAdd,
-                    FSub => XOp::FSub,
-                    FMul => XOp::FMul,
-                    FDiv => XOp::FDiv,
-                    _ => XOp::FCmpLt,
-                };
-                (op, fp_src(inst.src1), fp_src(inst.src2), 0)
+                (inst.op, fp_src(inst.src1), fp_src(inst.src2), 0)
             }
-            CvtIf => (XOp::CvtIf, int_src(inst.src1), Some(ZERO_SLOT), 0),
-            CvtFi => (XOp::CvtFi, fp_src(inst.src1), Some(ZERO_SLOT), 0),
-            Ld | FLd => (XOp::Ld, int_src(inst.src1), Some(ZERO_SLOT), inst.imm),
-            St => (XOp::St, int_src(inst.src1), int_src(inst.src2), inst.imm),
-            FSt => (XOp::St, int_src(inst.src1), fp_src(inst.src2), inst.imm),
-            J | Nop => (XOp::Nop, Some(ZERO_SLOT), Some(ZERO_SLOT), 0),
-            Halt => (XOp::Halt, Some(ZERO_SLOT), Some(ZERO_SLOT), 0),
+            CvtIf => (CvtIf, int_src(inst.src1), zero, 0),
+            CvtFi => (CvtFi, fp_src(inst.src1), zero, 0),
+            Ld | FLd => (Ld, int_src(inst.src1), zero, inst.imm),
+            St => (St, int_src(inst.src1), int_src(inst.src2), inst.imm),
+            FSt => (St, int_src(inst.src1), fp_src(inst.src2), inst.imm),
+            J => (Nop, zero, zero, 0),
+            Nop | Halt => (inst.op, zero, zero, 0),
+            // Integer ALU operations and conditional branches.
+            Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt | Seq | Mul | Div | Rem | Beq
+            | Bne | Blt | Bge => (inst.op, int_src(inst.src1), int_b, imm_b),
         };
         let target = si.target.unwrap_or(NO_SIDX);
         let next = if inst.op == J {
@@ -418,54 +360,56 @@ impl<'p> Interp<'p> {
             }
             0
         };
+        use Opcode::*;
         let v: u64 = match x.op {
-            XOp::Add => ai.wrapping_add(bi) as u64,
-            XOp::Sub => ai.wrapping_sub(bi) as u64,
-            XOp::And => (ai & bi) as u64,
-            XOp::Or => (ai | bi) as u64,
-            XOp::Xor => (ai ^ bi) as u64,
-            XOp::Sll => a << (bi as u64 & 63),
-            XOp::Srl => a >> (bi as u64 & 63),
-            XOp::Sra => (ai >> (bi as u64 & 63)) as u64,
-            XOp::Slt => u64::from(ai < bi),
-            XOp::Seq => u64::from(ai == bi),
-            XOp::Mul => ai.wrapping_mul(bi) as u64,
-            XOp::Div => match bi {
+            Add => ai.wrapping_add(bi) as u64,
+            Sub => ai.wrapping_sub(bi) as u64,
+            And => (ai & bi) as u64,
+            Or => (ai | bi) as u64,
+            Xor => (ai ^ bi) as u64,
+            Sll => a << (bi as u64 & 63),
+            Srl => a >> (bi as u64 & 63),
+            Sra => (ai >> (bi as u64 & 63)) as u64,
+            Slt => u64::from(ai < bi),
+            Seq => u64::from(ai == bi),
+            Mul => ai.wrapping_mul(bi) as u64,
+            Div => match bi {
                 0 => 0,
                 _ => ai.wrapping_div(bi) as u64,
             },
-            XOp::Rem => match bi {
+            Rem => match bi {
                 0 => 0,
                 _ => ai.wrapping_rem(bi) as u64,
             },
-            XOp::FAdd => (fp(a) + fp(b)).to_bits(),
-            XOp::FSub => (fp(a) - fp(b)).to_bits(),
-            XOp::FMul => (fp(a) * fp(b)).to_bits(),
-            XOp::FDiv => (fp(a) / fp(b)).to_bits(),
-            XOp::FCmpLt => u64::from(fp(a) < fp(b)),
-            XOp::CvtIf => (ai as f64).to_bits(),
-            XOp::CvtFi => fp(a) as i64 as u64,
-            XOp::Ld => {
+            FAdd => (fp(a) + fp(b)).to_bits(),
+            FSub => (fp(a) - fp(b)).to_bits(),
+            FMul => (fp(a) * fp(b)).to_bits(),
+            FDiv => (fp(a) / fp(b)).to_bits(),
+            FCmpLt => u64::from(fp(a) < fp(b)),
+            CvtIf => (ai as f64).to_bits(),
+            CvtFi => fp(a) as i64 as u64,
+            Ld => {
                 let addr = ai.wrapping_add(x.imm) as u64;
                 ea = Some(addr);
                 self.mem.read_u64_hinted(addr, &mut self.hints)
             }
-            XOp::St => {
+            St => {
                 let addr = ai.wrapping_add(x.imm) as u64;
                 ea = Some(addr);
                 self.mem.write_u64_hinted(addr, b, &mut self.hints);
                 0
             }
-            XOp::Beq => branch(ai == bi),
-            XOp::Bne => branch(ai != bi),
-            XOp::Blt => branch(ai < bi),
-            XOp::Bge => branch(ai >= bi),
-            XOp::Nop => 0,
-            XOp::Halt => {
+            Beq => branch(ai == bi),
+            Bne => branch(ai != bi),
+            Blt => branch(ai < bi),
+            Bge => branch(ai >= bi),
+            Nop => 0,
+            Halt => {
                 self.halted = true;
                 self.cursor = NO_SIDX;
                 return None;
             }
+            Li | Mov | FMov | FLd | FSt | J => unreachable!("decoded into other operations"),
         };
         // Instructions without a destination write the sink slot.
         self.regs[usize::from(x.dst)] = v;

@@ -1,7 +1,6 @@
 //! Programs: basic blocks, validation and PC layout.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use dca_isa::{Inst, Label};
 
@@ -150,8 +149,6 @@ pub struct Program {
     /// instruction.
     exec: Vec<Exec>,
     block_start: Vec<u32>,
-    /// [`Program::content_hash`], computed on first use.
-    content_hash: OnceLock<u64>,
 }
 
 impl Program {
@@ -243,21 +240,18 @@ impl Program {
                 sidx += 1;
             }
         }
-        let exec = layout
-            .iter()
-            .map(|si| {
-                Exec::decode(si).map_err(|why| ProgramError::InvalidInst {
-                    block: blocks[si.block as usize].name.clone(),
-                    detail: format!("`{}`: {why}", si.inst),
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let mut exec = Vec::with_capacity(layout.len());
+        for si in &layout {
+            exec.push(Exec::decode(si).map_err(|why| ProgramError::InvalidInst {
+                block: blocks[si.block as usize].name.clone(),
+                detail: format!("`{}`: {why}", si.inst),
+            })?);
+        }
         Ok(Program {
             blocks,
             layout,
             exec,
             block_start,
-            content_hash: OnceLock::new(),
         })
     }
 
@@ -328,27 +322,24 @@ impl Program {
     /// instruction's rendering plus its control-flow edges). Any change
     /// to the instruction sequence, layout or CFG changes the hash;
     /// used as part of the workload fingerprint keying the persistent
-    /// checkpoint store, and as the key of per-program analysis
-    /// caches. Computed once per program.
+    /// checkpoint store.
     pub fn content_hash(&self) -> u64 {
-        *self.content_hash.get_or_init(|| {
-            fn mix_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-                for b in bytes {
-                    *h ^= u64::from(b);
-                    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+        fn mix_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
+            for b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for si in &self.layout {
-                mix_bytes(&mut h, si.pc.to_le_bytes());
-                mix_bytes(&mut h, format!("{:?}", si.inst).bytes());
-                let ft = u64::from(si.fallthrough.map_or(u32::MAX, |t| t));
-                mix_bytes(&mut h, ft.to_le_bytes());
-                let tg = u64::from(si.target.map_or(u32::MAX, |t| t));
-                mix_bytes(&mut h, tg.to_le_bytes());
-            }
-            h
-        })
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for si in &self.layout {
+            mix_bytes(&mut h, si.pc.to_le_bytes());
+            mix_bytes(&mut h, format!("{:?}", si.inst).bytes());
+            let ft = u64::from(si.fallthrough.map_or(u32::MAX, |t| t));
+            mix_bytes(&mut h, ft.to_le_bytes());
+            let tg = u64::from(si.target.map_or(u32::MAX, |t| t));
+            mix_bytes(&mut h, tg.to_le_bytes());
+        }
+        h
     }
 }
 

@@ -17,10 +17,9 @@
 //! than `max_int_share` of all instructions. DESIGN.md documents this
 //! substitution.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dca_prog::{ldst_slice, NodeId, Program, Rdg};
+use dca_prog::{ldst_slice, NodeId, Program, Rdg, StaticInst};
 use dca_sim::{Allowed, ClusterId, DecodedView, SteerCtx, Steering};
 
 /// Distinct programs whose partitions [`StaticPartition::shared`]
@@ -64,28 +63,32 @@ impl StaticPartition {
     }
 
     /// [`StaticPartition::analyze`], run once per distinct program in
-    /// a process. Later calls for a program with the same
-    /// [`Program::content_hash`] — the same content, wherever it lives
-    /// — share the first call's result. The sampled Lab instantiates
-    /// the `static` scheme once per interval, so this makes the
-    /// analysis one per program instead of one per interval.
+    /// a process. Later calls for a program with an equal layout (the
+    /// same instructions, blocks and successors, wherever it lives)
+    /// share the first call's result. The sampled Lab
+    /// instantiates the `static` scheme once per interval, so this
+    /// makes the analysis one per program instead of one per interval.
     pub fn shared(prog: &Program) -> StaticPartition {
-        type Slots = HashMap<u64, Arc<OnceLock<StaticPartition>>>;
-        static CACHE: OnceLock<Mutex<Slots>> = OnceLock::new();
-        let key = prog.content_hash();
+        type Slots = Vec<(Vec<StaticInst>, Arc<OnceLock<StaticPartition>>)>;
+        static CACHE: Mutex<Slots> = Mutex::new(Vec::new());
+        let layout = prog.static_insts();
         let slot = {
-            // Each update under the lock is one `clear` or one insert,
-            // so the map is valid even if a holder panicked.
-            let mut cache = CACHE
-                .get_or_init(Default::default)
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if cache.len() >= SHARED_PROGRAMS && !cache.contains_key(&key) {
-                cache.clear();
+            // Each update under the lock is one `clear` or one push,
+            // so the list is valid even if a holder panicked.
+            let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+            match cache.iter().find(|(seen, _)| seen.as_slice() == layout) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    if cache.len() >= SHARED_PROGRAMS {
+                        cache.clear();
+                    }
+                    let slot = Arc::new(OnceLock::new());
+                    cache.push((layout.to_vec(), Arc::clone(&slot)));
+                    slot
+                }
             }
-            Arc::clone(cache.entry(key).or_default())
         };
-        // Analyse outside the map lock: other programs proceed, and a
+        // Analyse outside the lock: other programs proceed, and a
         // second caller for this one waits for the first's result.
         slot.get_or_init(|| StaticPartition::analyze(prog)).clone()
     }
