@@ -977,8 +977,8 @@ const WARM_STEERING_SCHEME: SchemeKind = SchemeKind::LdStSliceBalance;
 /// the `results/sampling.timing` footer instead.
 ///
 /// At `--scale paper` this is the paper's full 100M-instruction
-/// operating point; at other scales (or without sampling) it reports
-/// the straight runs and says so.
+/// operating point; without sampling options (whatever path ran) it
+/// reports "1 (unsampled)" full runs and says so.
 pub fn sampling(lab: &mut Lab) -> Figure {
     ensure_series(lab, &SAMPLING_SERIES, &[SAMPLING_BENCH], true);
     let opts = lab.opts();
@@ -995,7 +995,7 @@ pub fn sampling(lab: &mut Lab) -> Figure {
     for &(label, machine, scheme) in &SAMPLING_SERIES {
         let s = lab.stats(SAMPLING_BENCH, machine, scheme);
         let (intervals, interval_ipc) = match lab.sample_info(SAMPLING_BENCH, machine, scheme) {
-            Some(info) => (
+            Some(info) if sampled => (
                 format!(
                     "{}/{}{}",
                     info.intervals,
@@ -1004,7 +1004,7 @@ pub fn sampling(lab: &mut Lab) -> Figure {
                 ),
                 info.ipc_text(),
             ),
-            None => ("1 (unsampled)".into(), format!("{:.3}", s.ipc())),
+            _ => ("1 (unsampled)".into(), format!("{:.3}", s.ipc())),
         };
         t.row(&[
             label.to_string(),

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dca_obs::progress;
-use dca_prog::{fast_forward_streaming, Checkpoint, FastForward, Program};
+use dca_prog::{fast_forward_streaming, Checkpoint, FastForward, Interp, Program};
 use dca_sim::{ContinuousWarmer, MachineDesc, SimConfig, SimStats, Simulator, Steering};
 use dca_uarch::UarchSnapshot;
 use dca_store::{CheckpointKey, IntervalRecord, ResultKey, Store};
@@ -323,19 +323,21 @@ impl FastForwardInfo {
 /// each (benchmark, machine, scheme) combination at most once.
 ///
 /// Batch interface: [`Lab::ensure`] takes a figure's whole run-set and
-/// fans the missing combinations across `std::thread::scope` workers
-/// (simulations are independent; the memoisation cache is merged after
-/// the join), so `figures` saturates every core instead of simulating
-/// one combination at a time.
+/// runs the missing combinations through one produce → schedule →
+/// merge pipeline, so `figures` saturates every core instead of
+/// simulating one combination at a time. The unit of parallel work is
+/// a **sample interval**, not a run.
 ///
-/// With [`RunOpts::sampling`] set, a run is no longer the unit of
-/// parallel work: each combination's dynamic window is fast-forwarded
-/// once per benchmark (checkpointing every `period` instructions) and
-/// the **sample intervals** of all requested combinations run on the
-/// same worker pool as soon as their checkpoints exist, then merge per
-/// combination in checkpoint order (deterministic). This is what makes
-/// `figures --scale paper` — 100M instructions per benchmark — run in
-/// minutes instead of hours.
+/// With [`RunOpts::sampling`] set, each benchmark's dynamic window is
+/// fast-forwarded once (checkpointing every `period` instructions) and
+/// the intervals of all requested combinations run on the worker pool
+/// as soon as their checkpoints exist, then merge per combination in
+/// checkpoint order (deterministic). This is what makes `figures
+/// --scale paper` — 100M instructions per benchmark — run in minutes
+/// instead of hours. Without sampling options a combination is a
+/// sample of one interval that covers the whole window, started from
+/// the initial state: a full detailed run, on the same pipeline, with
+/// the same cancellation and progress.
 ///
 /// The memoisation cache is an ordered map, and everything rendered
 /// from it iterates in key order, so repeated invocations produce
@@ -405,7 +407,9 @@ pub struct WorkCounts {
     pub intervals_computed: u64,
     /// Sample intervals served from the store.
     pub intervals_from_store: u64,
-    /// Straight (unsampled) detailed passes executed.
+    /// Detailed runs made outside the Lab's pipeline: the direct runs
+    /// of `figures::ablate_threshold`, which reads scheme state the
+    /// lab does not cache.
     pub straight_runs: u64,
 }
 
@@ -472,7 +476,8 @@ impl Lab {
 
     /// Snapshot of the work this lab (and every lab adopted from it)
     /// has performed: fast-forward instructions, intervals computed
-    /// fresh vs served from the store, straight detailed passes.
+    /// fresh vs served from the store, direct runs outside the
+    /// pipeline.
     /// Deltas of two snapshots attribute work to a span exactly, even
     /// while other labs run concurrently in the same process — this
     /// is what the serve dispatcher reports per job.
@@ -488,9 +493,10 @@ impl Lab {
     /// Installs a cooperative cancellation token (`None` clears it).
     ///
     /// [`Lab::ensure`] checks the token before queuing each chunk of
-    /// sample intervals — the natural preemption points of the sampled
-    /// driver — and stops scheduling further work once it is set
-    /// (a fast-forward already under way still completes). Cancellation
+    /// sample intervals — the natural preemption points of the
+    /// pipeline; an unsampled combination is one chunk of one interval
+    /// — and stops scheduling further work once it is set (a
+    /// fast-forward or interval already under way still completes). Cancellation
     /// is *total*, like store degradation: every requested combination
     /// still receives an entry (merged from whatever contiguous prefix
     /// of intervals finished in time, possibly empty), so no caller
@@ -680,41 +686,48 @@ impl Lab {
             .unwrap_or_else(|| panic!("unknown benchmark `{bench}`"))
     }
 
-    fn workload(&mut self, bench: &str) -> &Workload {
-        let scale = self.opts.scale;
-        let name = Self::bench_name(bench);
-        self.workloads
-            .entry(name)
-            .or_insert_with(|| build_workload(name, scale))
-    }
-
     fn cache_key(bench: &str, machine: Machine, scheme: SchemeKind) -> (String, String, String) {
         (bench.to_owned(), machine.key(), scheme.key())
     }
 
-    /// Runs one combination (no cache involved).
-    fn simulate(w: &Workload, cfg: &SimConfig, scheme: SchemeKind, max_insts: u64) -> SimStats {
-        let mut steering = scheme.instantiate(&w.program);
-        Simulator::new(cfg, &w.program, w.memory.clone()).run(steering.as_mut(), max_insts)
-    }
-
     /// Precomputes every not-yet-cached combination of `runs` in
-    /// parallel, fanning the work across `std::thread::scope` workers
-    /// (one per core, capped by the number of missing runs). Workload
-    /// construction is parallelised the same way first. Results merge
-    /// into the memoisation cache after the join, so subsequent
-    /// [`Lab::stats`] calls are pure lookups.
-    ///
-    /// In sampled mode ([`RunOpts::sampling`]) the units of parallel
+    /// parallel, after building the missing workloads the same way.
+    /// Results merge into the memoisation cache, so subsequent
+    /// [`Lab::stats`] calls are pure lookups. The units of parallel
     /// work are one fast-forward per benchmark and one *sample
-    /// interval*, not one run (DESIGN.md §7).
+    /// interval* (DESIGN.md §6–§7); without [`RunOpts::sampling`] a
+    /// combination is one interval over the whole window.
     pub fn ensure(&mut self, runs: &[(&str, Machine, SchemeKind)]) {
         self.ensure_on(runs, None);
     }
 
-    /// [`Lab::ensure`] with a fixed number of sampling workers (`None`:
+    /// [`Lab::ensure`] with a fixed number of pipeline workers (`None`:
     /// a claim on the process-wide budget), so tests can drive the
     /// interval pipeline at any width.
+    ///
+    /// One produce → schedule → merge [`Pipeline`] runs every missing
+    /// combination. Sampled, each distinct benchmark without a
+    /// checkpoint stream becomes a producer task, taken before any
+    /// interval: it loads the stream from the persistent store when one
+    /// holds a current entry, or fast-forwards, publishing each
+    /// checkpoint the moment it is taken, and saves the stream after.
+    /// Interval *k* starts as soon as checkpoint *k* exists.
+    ///
+    /// Unsampled, the plan is one interval over the whole window from
+    /// checkpoint 0 with no warming, which is bit-identical to a full
+    /// detailed run (`tests/warming_equivalence.rs`). It needs no
+    /// producer and runs without the store: nothing is loaded or saved,
+    /// and no fingerprint is computed.
+    ///
+    /// With [`SampleOpts::target_stderr`] set, intervals are drawn in
+    /// checkpoint-order **chunks** per combination and a combination
+    /// stops as soon as the deterministic prefix rule
+    /// (`sampling::adaptive_prefix`) fires — so a low-variance
+    /// combination costs a handful of intervals, not the full budget.
+    /// The rule is evaluated on checkpoint-ordered prefixes only, which
+    /// makes the merged statistics (and every artefact rendered from
+    /// them) independent of worker count, completion order and of
+    /// whether intervals came from the store or from fresh simulation.
     fn ensure_on(&mut self, runs: &[(&str, Machine, SchemeKind)], workers: Option<usize>) {
         // Distinct missing combinations, first-seen order.
         let mut todo: Vec<Run> = Vec::new();
@@ -740,53 +753,25 @@ impl Lab {
             return;
         }
         let _span = dca_obs::span("lab", "lab.ensure").arg("runs", todo.len());
-        let benches: Vec<&'static str> = todo.iter().map(|&(b, _, _)| b).collect();
+        // One checkpoint feed per distinct benchmark: the stream this
+        // lab already holds, or a producer task.
+        let mut benches: Vec<&'static str> = Vec::new();
+        for &(bench, _, _) in &todo {
+            if !benches.contains(&bench) {
+                benches.push(bench);
+            }
+        }
         self.build_workloads(&benches);
 
-        if let Some(sampling) = self.opts.sampling {
-            self.ensure_sampled(&todo, sampling, workers);
-            return;
-        }
-        progress::detail(format!(
-            "[lab] running {} combinations in parallel",
-            todo.len()
-        ));
         let max_insts = self.opts.max_insts;
-        let cfgs: Vec<SimConfig> = todo.iter().map(|&(_, m, _)| self.config_of(m)).collect();
-        let workloads = &self.workloads;
-        let tally = &self.tally;
-        let jobs: Vec<usize> = (0..todo.len()).collect();
-        let results = Self::fan_out(&jobs, |&i| {
-            let (bench, machine, scheme) = todo[i];
-            let w = &workloads[bench];
-            let stats = Self::simulate(w, &cfgs[i], scheme, max_insts);
-            tally.straight_runs.fetch_add(1, Ordering::Relaxed);
-            (Self::cache_key(bench, machine, scheme), stats)
+        let sampled = self.opts.sampling.is_some();
+        let sampling = self.opts.sampling.unwrap_or(SampleOpts {
+            period: max_insts.max(1),
+            warmup: 0,
+            interval: max_insts.max(1),
+            target_stderr: None,
+            warming: Warming::Detached,
         });
-        self.cache.extend(results);
-    }
-
-    /// Sampled-mode batch driver: one produce → schedule → merge
-    /// [`Pipeline`] over every missing combination, on one worker pool.
-    ///
-    /// Each distinct benchmark without a checkpoint stream becomes a
-    /// producer task, taken before any interval: it loads the stream
-    /// from the persistent store when one holds a current entry (and
-    /// publishes it at once), or fast-forwards, publishing each
-    /// checkpoint the moment it is taken, and saves the stream after.
-    /// Interval *k* starts as soon as checkpoint *k* exists, so the
-    /// fast-forward overlaps the detailed simulation.
-    ///
-    /// With [`SampleOpts::target_stderr`] set, intervals are drawn in
-    /// checkpoint-order **chunks** per combination and a combination
-    /// stops as soon as the deterministic prefix rule
-    /// (`sampling::adaptive_prefix`) fires — so a low-variance
-    /// combination costs a handful of intervals, not the full budget.
-    /// The rule is evaluated on checkpoint-ordered prefixes only, which
-    /// makes the merged statistics (and every artefact rendered from
-    /// them) independent of worker count, completion order and of
-    /// whether intervals came from the store or from fresh simulation.
-    fn ensure_sampled(&mut self, todo: &[Run], sampling: SampleOpts, workers: Option<usize>) {
         assert!(
             sampling.interval <= sampling.period,
             "sample interval ({}) exceeds the checkpoint period ({}): successive \
@@ -794,13 +779,14 @@ impl Lab {
             sampling.interval,
             sampling.period
         );
-        let max_insts = self.opts.max_insts;
+        let store = if sampled { self.store.as_ref() } else { None };
         let scale = self.opts.scale.name();
         let warming = sampling.warming;
         // Steering-table warm-up rides on the detached warming window;
         // under continuous warming there is no such window to replay,
-        // so the flag is inert (and excluded from the result keys).
-        let warm_steering = self.opts.warm_steering && warming == Warming::Detached;
+        // so the flag is inert (and excluded from the result keys), as
+        // it is without sampling.
+        let warm_steering = sampled && self.opts.warm_steering && warming == Warming::Detached;
         let continuous = warming == Warming::Continuous;
         // The warmup budget is equally inert under continuous warming
         // (zero detached-warming instructions run): normalise it out
@@ -816,13 +802,11 @@ impl Lab {
         let warm_uarch = SimConfig::default().uarch_hash();
 
         // Workload fingerprints for the store keys, once per benchmark.
-        let mut fingerprints: HashMap<&'static str, u64> = HashMap::new();
-        if self.store.is_some() {
-            for &(bench, _, _) in todo {
-                let w = &self.workloads[bench];
-                fingerprints.entry(bench).or_insert_with(|| w.fingerprint());
-            }
-        }
+        let fingerprints: HashMap<&'static str, u64> = benches
+            .iter()
+            .filter(|_| store.is_some())
+            .map(|&b| (b, self.workloads[b].fingerprint()))
+            .collect();
         let names: Vec<(String, String)> =
             todo.iter().map(|&(_, m, s)| (m.key(), s.key())).collect();
         let result_key = |i: usize| ResultKey {
@@ -840,16 +824,9 @@ impl Lab {
             fingerprint: fingerprints[todo[i].0],
         };
 
-        // One checkpoint feed per distinct benchmark: the stream this
-        // lab already holds, or a producer task. No stream can hold
-        // more than `max_budget` checkpoints; the real count is known
-        // once its producer returns (a program may halt early).
-        let mut benches: Vec<&'static str> = Vec::new();
-        for &(bench, _, _) in todo {
-            if !benches.contains(&bench) {
-                benches.push(bench);
-            }
-        }
+        // No stream can hold more than `max_budget` checkpoints; the
+        // real count is known once its producer returns (a program may
+        // halt early).
         let max_budget = usize::try_from(max_insts.div_ceil(sampling.period).max(1))
             .unwrap_or(usize::MAX);
 
@@ -858,7 +835,7 @@ impl Lab {
         let mut prefilled: Vec<usize> = Vec::with_capacity(todo.len());
         for (i, &(bench, _, _)) in todo.iter().enumerate() {
             let mut outcomes: Vec<IntervalOutcome> = Vec::new();
-            if let Some(store) = &self.store {
+            if let Some(store) = store {
                 let budget = self.ffs.get(bench).map_or(max_budget, |ff| ff.checkpoints.len());
                 match store.load_intervals(&result_key(i)) {
                     Ok(records) => {
@@ -897,9 +874,23 @@ impl Lab {
             });
         }
 
+        // Unsampled, every feed is ready: checkpoint 0, the state before
+        // the benchmark's first step.
+        let initial: Vec<Checkpoint> = benches
+            .iter()
+            .filter(|_| !sampled)
+            .map(|b| {
+                let w = &self.workloads[b];
+                Interp::new(&w.program, w.memory.clone()).checkpoint()
+            })
+            .collect();
         let feeds: Vec<Option<&[Checkpoint]>> = benches
             .iter()
-            .map(|b| self.ffs.get(b).map(|ff| ff.checkpoints.as_slice()))
+            .enumerate()
+            .map(|(k, b)| match initial.get(k) {
+                Some(ckpt) => Some(std::slice::from_ref(ckpt)),
+                None => self.ffs.get(b).map(|ff| ff.checkpoints.as_slice()),
+            })
             .collect();
         let pipeline = Pipeline::new(
             feeds,
@@ -920,7 +911,6 @@ impl Lab {
         }
 
         let workloads = &self.workloads;
-        let store = self.store.as_ref();
         let tally = &self.tally;
         let out = pipeline.run(
             workers,
@@ -997,9 +987,11 @@ impl Lab {
                                 ckpt.seq()
                             )
                         });
+                        let decode = dca_obs::span("uarch", "uarch.snapshot_decode");
                         let snap = UarchSnapshot::decode(blob).unwrap_or_else(|e| {
                             panic!("continuous warming: {bench} @ {}: {e}", ckpt.seq())
                         });
+                        drop(decode);
                         sim.restore_uarch(&snap).unwrap_or_else(|e| {
                             panic!(
                                 "continuous warming: {bench} @ {} on {}: {e}",
@@ -1076,7 +1068,7 @@ impl Lab {
                 all_det_insts += info.detailed_insts;
                 all_det_secs += info.detailed_secs;
             }
-            if let Some(store) = &self.store {
+            if let Some(store) = store {
                 if run.outcomes.len() > prefilled[i] {
                     let records: Vec<IntervalRecord> = run
                         .outcomes
@@ -1100,8 +1092,10 @@ impl Lab {
         }
     }
 
-    /// Sampling diagnostics of a combination simulated in sampled mode
-    /// (`None` for unsampled runs).
+    /// Sampling diagnostics of a simulated combination (one interval
+    /// covering the whole window when [`RunOpts::sampling`] is unset;
+    /// `None` before the combination ran, or when a cancellation came
+    /// before any work).
     pub fn sample_info(&self, bench: &str, machine: Machine, scheme: SchemeKind) -> Option<&SampleInfo> {
         self.sample_info.get(&Self::cache_key(bench, machine, scheme))
     }
@@ -1186,30 +1180,14 @@ impl Lab {
         })
     }
 
-    /// Simulates (or returns the memoised result of) one combination.
+    /// The memoised result of one combination, simulated through
+    /// [`Lab::ensure`] first if missing.
     pub fn stats(&mut self, bench: &str, machine: Machine, scheme: SchemeKind) -> SimStats {
         let key = Self::cache_key(bench, machine, scheme);
-        if let Some(s) = self.cache.get(&key) {
-            return s.clone();
-        }
-        progress::detail(format!(
-            "[lab] {bench} / {} / {}",
-            machine.key(),
-            scheme.label()
-        ));
-        if self.opts.sampling.is_some() {
-            // Sampled runs always go through the batch driver: even a
-            // single combination fans its intervals across the pool.
+        if !self.cache.contains_key(&key) {
             self.ensure(&[(bench, machine, scheme)]);
-            return self.cache[&key].clone();
         }
-        let max = self.opts.max_insts;
-        let cfg = self.config_of(machine);
-        let w = self.workload(bench);
-        let stats = Self::simulate(w, &cfg, scheme, max);
-        self.tally.straight_runs.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert(key, stats.clone());
-        stats
+        self.cache[&key].clone()
     }
 
     /// Base-machine run for `bench` (the speed-up denominator).
@@ -1457,10 +1435,17 @@ mod tests {
         assert_eq!(wa.straight_runs, 0);
         assert!(!wa.is_warm());
         assert_eq!(b.work(), WorkCounts::default(), "other labs are untouched");
-        // A straight (unsampled) pass counts as a run, so a fresh
-        // non-sampled figure can never report itself warm.
+        // An unsampled run is a one-interval sample: it computes one
+        // interval and fast-forwards nothing, so a fresh non-sampled
+        // figure can never report itself warm.
         let _ = b.stats("compress", Machine::Base, SchemeKind::Naive);
-        assert_eq!(b.work().straight_runs, 1);
+        assert_eq!(
+            b.work(),
+            WorkCounts {
+                intervals_computed: 1,
+                ..WorkCounts::default()
+            }
+        );
         assert!(!b.work().is_warm());
         // Memoised lookups do no work.
         let before = a.work();
@@ -2082,6 +2067,27 @@ mod tests {
         assert_eq!(a.balance, b.balance);
     }
 
+    /// Unsampled results stay out of the store: a smoke lab with a
+    /// store directory computes its one-interval samples and writes
+    /// no checkpoint or result shard.
+    #[test]
+    fn unsampled_runs_write_nothing_to_the_store() {
+        let dir = std::env::temp_dir().join("dca-bench-store-unsampled");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut lab = Lab::new(RunOpts {
+            store_dir: Some(dir.clone()),
+            ..smoke_opts()
+        });
+        lab.ensure(&[
+            ("compress", Machine::Clustered, SchemeKind::Modulo),
+            ("li", Machine::Base, SchemeKind::Naive),
+        ]);
+        assert_eq!(lab.work().intervals_computed, 2);
+        assert_eq!(lab.work().intervals_from_store, 0);
+        assert!(shard_files(&dir).is_empty(), "{:?}", shard_files(&dir));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn every_scheme_instantiates() {
         let w = dca_workloads::build("compress", Scale::Smoke);
@@ -2158,6 +2164,37 @@ mod tests {
         let stats = lab.stats(run.0, run.1, run.2);
         assert!(lab.cancelled());
         assert_eq!(stats.committed, 0, "no work scheduled after cancellation");
+
+        // Unsampled, several combinations: each is one interval, queued
+        // as its own round when the pipeline starts. A token set in the
+        // first round's hook freezes the others before they run.
+        let runs = [
+            ("compress", Machine::Clustered, SchemeKind::GeneralBalance),
+            ("compress", Machine::Base, SchemeKind::Naive),
+            ("li", Machine::Clustered, SchemeKind::Modulo),
+        ];
+        let token = Arc::new(AtomicBool::new(false));
+        let seen: Arc<Mutex<Vec<RoundProgress>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut lab = Lab::new(smoke_opts());
+        lab.set_cancel(Some(token.clone()));
+        let (t, s) = (token.clone(), seen.clone());
+        lab.set_round_hook(Some(Box::new(move |p| {
+            s.lock().unwrap().push(*p);
+            t.store(true, Ordering::Relaxed);
+        })));
+        lab.ensure(&runs);
+        assert!(lab.cancelled(), "token observed");
+        let rounds = seen.lock().unwrap();
+        assert_eq!(rounds.len(), 1, "cancelled before round 2");
+        assert_eq!((rounds[0].round, rounds[0].batch), (1, 1));
+        assert_eq!(lab.runs(), runs.len(), "total: every combination has an entry");
+        assert_eq!(lab.work().intervals_computed, 1, "only the first round ran");
+        let first = lab.stats(runs[0].0, runs[0].1, runs[0].2);
+        let reference = Lab::new(smoke_opts()).stats(runs[0].0, runs[0].1, runs[0].2);
+        assert_eq!(first.cycles, reference.cycles, "the first round ran to completion");
+        for &(b, m, k) in &runs[1..] {
+            assert_eq!(lab.stats(b, m, k).committed, 0, "{b}/{m:?}/{k:?} frozen empty");
+        }
     }
 
     /// Smoke-scale continuous sampling over `compress` (which halts

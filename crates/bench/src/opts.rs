@@ -182,8 +182,8 @@ impl RunOpts {
     /// # Errors
     ///
     /// A message naming the flag on a missing or malformed value
-    /// (unknown scale, non-numeric instruction budget, zero sampling
-    /// period), and one naming both flags when the sample interval
+    /// (unknown scale, non-numeric or zero instruction budget, zero
+    /// sampling period), and one naming both flags when the sample interval
     /// exceeds the sample period.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
@@ -212,6 +212,9 @@ impl RunOpts {
                 }
                 "--max-insts" => {
                     opts.max_insts = number(&mut args, &a)?;
+                    if opts.max_insts == 0 {
+                        return Err(format!("{a} must be non-zero"));
+                    }
                     explicit_max = true;
                 }
                 "--sample-period" | "--sample-warmup" | "--sample-interval" => {
@@ -383,6 +386,7 @@ mod tests {
         for argv in [
             &["--scale", "huge"][..],
             &["--max-insts", "lots"],
+            &["--max-insts", "0"],
             &["--sample-period", "0"],
             &["--sample-interval", "0"],
             &["--sample-period", "1000"],

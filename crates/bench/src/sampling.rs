@@ -167,6 +167,7 @@ pub(crate) fn merge_outcomes(
     used: usize,
     budget: u64,
 ) -> (SimStats, SampleInfo) {
+    let _span = dca_obs::span("lab", "lab.merge");
     let mut merged = SimStats::default();
     let mut info = SampleInfo {
         budget,

@@ -256,6 +256,10 @@ fn error_paths_fail_with_diagnostics() {
         (&["figures", "nope"], "unknown figure `nope`"),
         (&["run", "--bench", "li", "--scale", "huge"], "--scale: unknown scale `huge`"),
         (&["compare", "--max-insts", "lots"], "--max-insts needs a number"),
+        (
+            &["compare", "--bench", "gcc", "--schemes", "static", "--scale", "smoke", "--max-insts", "0", "--no-store"],
+            "--max-insts must be non-zero",
+        ),
         (&["figures", "sampling", "--sample-period", "0"], "--sample-period must be non-zero"),
         (
             &["figures", "sampling", "--sample-period", "1000"],
@@ -349,9 +353,10 @@ fn figures_subcommand_writes_artefacts() {
 /// The observability acceptance criteria in one end-to-end pass: the
 /// same sampled figures run with and without `--trace-out` /
 /// `--metrics-out` produces byte-identical reports; the trace is valid
-/// Chrome trace-event JSON with spans from all six layers (workload
-/// construction, Lab worker, fast-forward, interval simulation, scheme
-/// setup, store I/O); the metrics
+/// Chrome trace-event JSON with spans from all seven layers (workload
+/// construction, Lab worker, fast-forward, interval simulation,
+/// snapshot decode, scheme setup, store I/O) and for every stage of an
+/// interval's setup and merge; the metrics
 /// file is a Prometheus exposition; and the run manifest stamps the
 /// invocation.
 #[test]
@@ -417,7 +422,7 @@ fn observability_artefacts_leave_reports_byte_identical() {
             );
         }
     }
-    for want in ["workloads", "lab", "prog", "sim", "steer", "store"] {
+    for want in ["workloads", "lab", "prog", "sim", "uarch", "steer", "store"] {
         assert!(
             events.iter().any(|e| {
                 e.get("cat").and_then(Json::as_str) == Some(want)
@@ -433,6 +438,11 @@ fn observability_artefacts_leave_reports_byte_identical() {
     };
     assert!(named("lab.fast_forward"), "no `lab.fast_forward` span");
     assert!(!named("lab.fast_forward_phase"), "the fast-forward phase no longer exists");
+    // An interval's setup stages and each combination's merge run
+    // inside spans of their own.
+    for want in ["sim.resume", "uarch.snapshot_decode", "sim.restore", "lab.merge"] {
+        assert!(named(want), "no `{want}` span");
+    }
     // Scheme setup (the static analysis of §3.3) is its own span.
     assert!(
         events.iter().any(|e| {

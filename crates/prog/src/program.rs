@@ -149,6 +149,9 @@ pub struct Program {
     /// instruction.
     exec: Vec<Exec>,
     block_start: Vec<u32>,
+    /// [`Program::content_hash`], computed once by
+    /// [`Program::from_blocks`].
+    id: u64,
 }
 
 impl Program {
@@ -241,17 +244,20 @@ impl Program {
             }
         }
         let mut exec = Vec::with_capacity(layout.len());
+        let mut id: u64 = 0xcbf2_9ce4_8422_2325;
         for si in &layout {
             exec.push(Exec::decode(si).map_err(|why| ProgramError::InvalidInst {
                 block: blocks[si.block as usize].name.clone(),
                 detail: format!("`{}`: {why}", si.inst),
             })?);
+            id = fold_inst(id, si);
         }
         Ok(Program {
             blocks,
             layout,
             exec,
             block_start,
+            id,
         })
     }
 
@@ -318,29 +324,30 @@ impl Program {
         self.layout.len() as u64 * INST_BYTES
     }
 
-    /// Deterministic FNV-1a hash of the laid-out program (every static
-    /// instruction's rendering plus its control-flow edges). Any change
-    /// to the instruction sequence, layout or CFG changes the hash;
-    /// used as part of the workload fingerprint keying the persistent
-    /// checkpoint store.
+    /// The program's identity, computed once when it is built: an
+    /// FNV-1a hash of the laid-out program in a fixed byte encoding,
+    /// stable across toolchains, that any change to the instructions,
+    /// layout or CFG changes. It keys the persistent store (in the
+    /// workload fingerprint) and per-program analysis caches.
     pub fn content_hash(&self) -> u64 {
-        fn mix_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-            for b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for si in &self.layout {
-            mix_bytes(&mut h, si.pc.to_le_bytes());
-            mix_bytes(&mut h, format!("{:?}", si.inst).bytes());
-            let ft = u64::from(si.fallthrough.map_or(u32::MAX, |t| t));
-            mix_bytes(&mut h, ft.to_le_bytes());
-            let tg = u64::from(si.target.map_or(u32::MAX, |t| t));
-            mix_bytes(&mut h, tg.to_le_bytes());
-        }
-        h
+        self.id
     }
+}
+
+/// Folds one laid-out instruction into an FNV-1a program id: address,
+/// block, declared opcode (not the interpreter's normalized one: `li`
+/// and `add` execute alike but time differently), registers,
+/// immediate and successors, with absent operands as all-ones.
+fn fold_inst(h: u64, si: &StaticInst) -> u64 {
+    let reg = |r: Option<dca_isa::Reg>| r.map_or(u8::MAX, |r| r.flat_index() as u8);
+    let succ = |s: Option<u32>| s.unwrap_or(u32::MAX).to_le_bytes();
+    let i = &si.inst;
+    let ops = [i.op as u8, reg(i.dst), reg(i.src1), reg(i.src2)];
+    let (pc, block, imm) = (si.pc.to_le_bytes(), si.block.to_le_bytes(), i.imm.to_le_bytes());
+    let fields: [&[u8]; 6] = [&pc, &block, &ops, &imm, &succ(si.fallthrough), &succ(si.target)];
+    fields.iter().flat_map(|f| f.iter()).fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

@@ -78,10 +78,11 @@ fn figure_mode(max_insts: &str) -> Mode {
 }
 
 /// The sampling figure fast-forwards and computes intervals, so its
-/// work deltas discriminate between jobs (fig03 is a straight run —
-/// every delta but `straight_runs` is zero). The sampling period is
-/// the variable: halving it doubles the checkpoint count, so the two
-/// jobs tally different `intervals_computed`.
+/// work deltas discriminate between jobs (fig03 runs unsampled: one
+/// interval per combination and no fast-forward, so `ff_insts` stays
+/// zero). The sampling period is the variable: halving it doubles the
+/// checkpoint count, so the two jobs tally different
+/// `intervals_computed`.
 fn sampling_mode(period: &str) -> Mode {
     Mode::Figure {
         figure: "sampling".to_string(),

@@ -502,6 +502,7 @@ impl<'p> Simulator<'p> {
     ///
     /// Panics if `cfg` fails [`SimConfig::validate`].
     pub fn resume_from(cfg: &SimConfig, prog: &'p Program, ckpt: &Checkpoint) -> Simulator<'p> {
+        let _span = dca_obs::span("sim", "sim.resume");
         let mut sim = Simulator::new(cfg, prog, Memory::new());
         sim.interp = Some(Interp::resume(prog, ckpt));
         sim
@@ -528,6 +529,7 @@ impl<'p> Simulator<'p> {
     /// or predictor geometry does not match this machine's
     /// configuration.
     pub fn restore_uarch(&mut self, snap: &UarchSnapshot) -> Result<(), SnapshotError> {
+        let _span = dca_obs::span("sim", "sim.restore");
         snap.restore(&mut self.hierarchy, &mut self.bpred)?;
         let (l1i, l1d, l2, bpred) = snap.counters();
         self.warm_baseline = WarmBaseline { l1i, l1d, l2, bpred };

@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dca_prog::{ldst_slice, NodeId, Program, Rdg, StaticInst};
+use dca_prog::{ldst_slice, NodeId, Program, Rdg};
 use dca_sim::{Allowed, ClusterId, DecodedView, SteerCtx, Steering};
 
 /// Distinct programs whose partitions [`StaticPartition::shared`]
@@ -63,27 +63,26 @@ impl StaticPartition {
     }
 
     /// [`StaticPartition::analyze`], run once per distinct program in
-    /// a process. Later calls for a program with an equal layout (the
-    /// same instructions, blocks and successors, wherever it lives)
-    /// share the first call's result. The sampled Lab
-    /// instantiates the `static` scheme once per interval, so this
+    /// a process: later calls for a program with the same
+    /// [`Program::content_hash`] share the first call's result. The
+    /// Lab instantiates the `static` scheme once per interval, so this
     /// makes the analysis one per program instead of one per interval.
     pub fn shared(prog: &Program) -> StaticPartition {
-        type Slots = Vec<(Vec<StaticInst>, Arc<OnceLock<StaticPartition>>)>;
+        type Slots = Vec<(u64, Arc<OnceLock<StaticPartition>>)>;
         static CACHE: Mutex<Slots> = Mutex::new(Vec::new());
-        let layout = prog.static_insts();
+        let id = prog.content_hash();
         let slot = {
             // Each update under the lock is one `clear` or one push,
             // so the list is valid even if a holder panicked.
             let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-            match cache.iter().find(|(seen, _)| seen.as_slice() == layout) {
+            match cache.iter().find(|(seen, _)| *seen == id) {
                 Some((_, slot)) => Arc::clone(slot),
                 None => {
                     if cache.len() >= SHARED_PROGRAMS {
                         cache.clear();
                     }
                     let slot = Arc::new(OnceLock::new());
-                    cache.push((layout.to_vec(), Arc::clone(&slot)));
+                    cache.push((id, Arc::clone(&slot)));
                     slot
                 }
             }

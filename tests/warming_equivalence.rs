@@ -147,3 +147,46 @@ fn snapshot_restore_matches_inline_on_the_base_machine() {
 
     assert_identical(&stats_a, &stats_b, "li/base/Naive");
 }
+
+/// The Lab runs an unsampled combination as a one-interval sample:
+/// the initial checkpoint (taken before the first step), zero
+/// warming instructions, then one detailed interval over the whole
+/// window. That is only the same run as a straight
+/// `Simulator::new(..).run` if resuming from the initial state and
+/// warming for nothing leave the machine exactly as a fresh one, so
+/// pin it for every scheme on both the base and the clustered
+/// machine, with the trace compared cycle for cycle.
+#[test]
+fn initial_checkpoint_with_zero_warming_is_bit_identical_to_a_fresh_run() {
+    const WINDOW: u64 = 20_000;
+    let w = build("compress", Scale::Smoke);
+    let ckpt = Interp::new(&w.program, w.memory.clone()).checkpoint();
+    assert_eq!(ckpt.seq(), 0, "initial state");
+    for (machine, cfg) in [
+        ("base", SimConfig::paper_base()),
+        ("clustered", SimConfig::paper_clustered()),
+    ] {
+        for scheme in ALL_SCHEMES {
+            let what = format!("compress/{machine}/{scheme:?}");
+
+            let mut steer_a = scheme.instantiate(&w.program);
+            let mut sim_a = Simulator::new(&cfg, &w.program, w.memory.clone());
+            sim_a.enable_trace(4096);
+            let stats_a = sim_a.run_mut(steer_a.as_mut(), WINDOW);
+
+            let mut steer_b = scheme.instantiate(&w.program);
+            let mut sim_b = Simulator::resume_from(&cfg, &w.program, &ckpt);
+            assert_eq!(sim_b.warm_functional(0), 0, "{what}: nothing warmed");
+            sim_b.enable_trace(4096);
+            let stats_b = sim_b.run_mut(steer_b.as_mut(), ckpt.seq() + WINDOW);
+
+            assert_identical(&stats_a, &stats_b, &what);
+            assert!(stats_a.committed > 0, "{what}: the window measured nothing");
+            assert_eq!(
+                sim_a.take_trace().expect("trace enabled").render_table(),
+                sim_b.take_trace().expect("trace enabled").render_table(),
+                "{what}: traces diverge"
+            );
+        }
+    }
+}
