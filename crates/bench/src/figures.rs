@@ -977,8 +977,8 @@ const WARM_STEERING_SCHEME: SchemeKind = SchemeKind::LdStSliceBalance;
 /// the `results/sampling.timing` footer instead.
 ///
 /// At `--scale paper` this is the paper's full 100M-instruction
-/// operating point; without sampling options (whatever path ran) it
-/// reports "1 (unsampled)" full runs and says so.
+/// operating point; without sampling options it reports "1
+/// (unsampled)" full runs and says so.
 pub fn sampling(lab: &mut Lab) -> Figure {
     ensure_series(lab, &SAMPLING_SERIES, &[SAMPLING_BENCH], true);
     let opts = lab.opts();

@@ -784,9 +784,8 @@ impl Lab {
         let warming = sampling.warming;
         // Steering-table warm-up rides on the detached warming window;
         // under continuous warming there is no such window to replay,
-        // so the flag is inert (and excluded from the result keys), as
-        // it is without sampling.
-        let warm_steering = sampled && self.opts.warm_steering && warming == Warming::Detached;
+        // so the flag is inert (and excluded from the result keys).
+        let warm_steering = self.opts.warm_steering && warming == Warming::Detached;
         let continuous = warming == Warming::Continuous;
         // The warmup budget is equally inert under continuous warming
         // (zero detached-warming instructions run): normalise it out

@@ -343,11 +343,15 @@ fn fold_inst(h: u64, si: &StaticInst) -> u64 {
     let succ = |s: Option<u32>| s.unwrap_or(u32::MAX).to_le_bytes();
     let i = &si.inst;
     let ops = [i.op as u8, reg(i.dst), reg(i.src1), reg(i.src2)];
-    let (pc, block, imm) = (si.pc.to_le_bytes(), si.block.to_le_bytes(), i.imm.to_le_bytes());
-    let fields: [&[u8]; 6] = [&pc, &block, &ops, &imm, &succ(si.fallthrough), &succ(si.target)];
-    fields.iter().flat_map(|f| f.iter()).fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    si.pc
+        .to_le_bytes()
+        .into_iter()
+        .chain(si.block.to_le_bytes())
+        .chain(ops)
+        .chain(i.imm.to_le_bytes())
+        .chain(succ(si.fallthrough))
+        .chain(succ(si.target))
+        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[cfg(test)]
