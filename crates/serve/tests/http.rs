@@ -398,6 +398,7 @@ fn every_server_side_flag_is_refused_over_both_listeners() {
     for bad in [
         ["--scale", "huge"],
         ["--max-insts", "lots"],
+        ["--max-insts", "0"],
         ["--sample-period", "0"],
         ["--sample-period", "1000"],
     ] {
